@@ -86,7 +86,10 @@ class RandomAccessFile {
   virtual void ReadAhead(uint64_t offset, size_t n) const {}
 };
 
-// Append-only writable file (SSTable building, WAL, manifest).
+// Append-only writable file (SSTable building, WAL, manifest). Append may
+// buffer in user space: appended bytes are visible to readers, and survive
+// a process exit, only after Flush, Sync or Close. Sync also makes them
+// durable against power loss.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;

@@ -4,6 +4,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -17,7 +18,8 @@
 
 // The leaf Env doing real syscalls feeds both halves of the calling
 // thread's IOStatsContext: call/byte counts (perf level >= kCounts) and
-// syscall wall time (>= kCountsAndTime). Don't stack CountingEnv on top of
+// syscall wall time (>= kCountsAndTime). write_calls counts write(2) calls,
+// not Appends (see PosixWritableFile). Don't stack CountingEnv on top of
 // this one — the call counts would double.
 
 namespace monkeydb {
@@ -181,38 +183,48 @@ class PosixRandomAccessFile : public RandomAccessFile {
   mutable std::map<uint64_t, uint64_t> hinted_ GUARDED_BY(hint_mu_);
 };
 
+// Appends collect in a 64 KiB user-space buffer (LevelDB's
+// kWritableFileBufferSize) that reaches the kernel in one write(2) when it
+// fills: an SST is appended one 4 KiB page image at a time, and a syscall
+// per page would dominate a flush's CPU. An Append that does not fit after
+// topping up the buffer goes straight to the file. Appended bytes become
+// visible to readers, and survive a process exit, only after Flush, Sync or
+// Close.
 class PosixWritableFile : public WritableFile {
  public:
   PosixWritableFile(std::string fname, int fd)
       : fname_(std::move(fname)), fd_(fd) {}
   ~PosixWritableFile() override {
-    if (fd_ >= 0) ::close(fd_);
+    if (fd_ < 0) return;
+    // monkey-lint: status-sink — best-effort flush of a file its owner
+    // never closed; every caller that needs the bytes calls Flush first.
+    FlushBuffer().IgnoreError();
+    ::close(fd_);
   }
 
   Status Append(const Slice& data) override {
-    PerfTimer timer(&GetIOStatsContext()->write_nanos);
     const char* p = data.data();
-    size_t left = data.size();
-    while (left > 0) {
-      ssize_t w = ::write(fd_, p, left);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return PosixError(fname_, errno);
-      }
-      p += w;
-      left -= static_cast<size_t>(w);
+    size_t n = data.size();
+    const size_t copy = std::min(n, kBufferSize - pos_);
+    memcpy(buf_ + pos_, p, copy);
+    p += copy;
+    n -= copy;
+    pos_ += copy;
+    if (n == 0) return Status::OK();
+
+    MONKEYDB_RETURN_IF_ERROR(FlushBuffer());
+    if (n < kBufferSize) {
+      memcpy(buf_, p, n);
+      pos_ = n;
+      return Status::OK();
     }
-    if (PerfCountsEnabled()) {
-      IOStatsContext* io = GetIOStatsContext();
-      io->write_calls++;
-      io->bytes_written += data.size();
-    }
-    return Status::OK();
+    return WriteUnbuffered(p, n);
   }
 
-  Status Flush() override { return Status::OK(); }
+  Status Flush() override { return FlushBuffer(); }
 
   Status Sync() override {
+    MONKEYDB_RETURN_IF_ERROR(FlushBuffer());
     PerfTimer timer(&GetIOStatsContext()->fsync_nanos);
     if (PerfCountsEnabled()) GetIOStatsContext()->fsync_calls++;
     if (::fsync(fd_) != 0) return PosixError(fname_, errno);
@@ -220,17 +232,47 @@ class PosixWritableFile : public WritableFile {
   }
 
   Status Close() override {
-    if (fd_ >= 0 && ::close(fd_) != 0) {
-      fd_ = -1;
-      return PosixError(fname_, errno);
-    }
+    if (fd_ < 0) return Status::OK();
+    Status s = FlushBuffer();
+    if (::close(fd_) != 0 && s.ok()) s = PosixError(fname_, errno);
     fd_ = -1;
-    return Status::OK();
+    return s;
   }
 
  private:
+  static constexpr size_t kBufferSize = 64 << 10;
+
+  Status FlushBuffer() {
+    const size_t n = pos_;
+    pos_ = 0;
+    return WriteUnbuffered(buf_, n);
+  }
+
+  Status WriteUnbuffered(const char* p, size_t n) {
+    if (n == 0) return Status::OK();
+    PerfTimer timer(&GetIOStatsContext()->write_nanos);
+    const bool counts = PerfCountsEnabled();
+    while (n > 0) {
+      ssize_t w = ::write(fd_, p, n);
+      if (w < 0) {
+        if (errno == EINTR) continue;
+        return PosixError(fname_, errno);
+      }
+      if (counts) {
+        IOStatsContext* io = GetIOStatsContext();
+        io->write_calls++;
+        io->bytes_written += static_cast<uint64_t>(w);
+      }
+      p += w;
+      n -= static_cast<size_t>(w);
+    }
+    return Status::OK();
+  }
+
   std::string fname_;
   int fd_;
+  size_t pos_ = 0;  // Bytes of buf_ not yet handed to the kernel.
+  char buf_[kBufferSize];
 };
 
 class PosixEnv : public Env {

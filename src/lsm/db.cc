@@ -584,10 +584,17 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
   // Hoisted out of the unlock window: the parallel-apply path reuses the
   // per-member resolutions after mu_ is reacquired, and the leader's
   // `resolved` vector must outlive the followers' insertions (they hold
-  // raw pointers into it via Writer::apply_ops).
+  // raw pointers into it via Writer::apply_ops). It is flat across the
+  // group: member i's ops start at first_op[i]. Values are slices into
+  // the members' batches; only value-log handles need storage of their
+  // own, in `handles`, reserved up front so no slice ever moves.
   std::vector<char> included(group.size(), 1);
-  std::vector<std::vector<std::pair<ValueType, std::string>>> resolved(
-      group.size());
+  std::vector<size_t> first_op(group.size() + 1, 0);
+  for (size_t i = 0; i < group.size(); i++) {
+    first_op[i + 1] = first_op[i] + group[i]->batch->count();
+  }
+  std::vector<ResolvedOp> resolved(first_op.back());
+  std::vector<std::string> handles;
   size_t included_members = 0;
   bool parallel_apply = false;
   {
@@ -600,25 +607,27 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
     // value log first (so a WAL record's handle is durable only after its
     // value is). A member whose value-log append fails is excluded from the
     // group with its own error; the others still commit.
+    if (vlog_ != nullptr) handles.reserve(resolved.size());
     for (size_t i = 0; i < group.size(); i++) {
       Writer* writer = group[i];
-      auto& ops = resolved[i];
-      ops.reserve(writer->batch->count());
+      const WriteBatch& batch = *writer->batch;
+      ResolvedOp* ops = resolved.data() + first_op[i];
       Status member_status;
-      for (const WriteBatch::Op& op : writer->batch->ops()) {
-        if (op.type == ValueType::kValue && vlog_ != nullptr &&
-            op.value.size() >= options_.value_separation_threshold) {
+      for (size_t j = 0; j < batch.count(); j++) {
+        const Slice value = batch.value(j);
+        if (batch.type(j) == ValueType::kValue && vlog_ != nullptr &&
+            value.size() >= options_.value_separation_threshold) {
           ValueHandle handle;
-          member_status = vlog_->Add(op.value, writer->sync, &handle);
+          member_status = vlog_->Add(value, writer->sync, &handle);
           if (!member_status.ok()) break;
           counters_.value_log_writes.fetch_add(1, std::memory_order_relaxed);
-          counters_.value_log_bytes.fetch_add(op.value.size(),
+          counters_.value_log_bytes.fetch_add(value.size(),
                                               std::memory_order_relaxed);
-          std::string encoding;
-          handle.EncodeTo(&encoding);
-          ops.emplace_back(ValueType::kValueHandle, std::move(encoding));
+          handles.emplace_back();
+          handle.EncodeTo(&handles.back());
+          ops[j] = ResolvedOp{ValueType::kValueHandle, Slice(handles.back())};
         } else {
-          ops.emplace_back(op.type, op.value);
+          ops[j] = ResolvedOp{batch.type(j), value};
         }
       }
       if (!member_status.ok()) {
@@ -633,11 +642,12 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
     size_t included_ops = 0;
     for (size_t i = 0; i < group.size(); i++) {
       if (!included[i]) continue;
-      const auto& ops = group[i]->batch->ops();
-      for (size_t j = 0; j < ops.size(); j++) {
-        wal_batch.Add(resolved[i][j].first, ops[j].key, resolved[i][j].second);
+      const WriteBatch& batch = *group[i]->batch;
+      const ResolvedOp* ops = resolved.data() + first_op[i];
+      for (size_t j = 0; j < batch.count(); j++) {
+        wal_batch.Add(ops[j].type, batch.key(j), ops[j].value);
       }
-      included_ops += ops.size();
+      included_ops += batch.count();
       included_members++;
       if (group[i]->sync) group_sync = true;
     }
@@ -677,11 +687,9 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
         SequenceNumber seq = first_seq;
         for (size_t i = 0; i < group.size(); i++) {
           if (!included[i]) continue;
-          const auto& ops = group[i]->batch->ops();
-          for (size_t j = 0; j < ops.size(); j++) {
-            mem_->Add(seq++, resolved[i][j].first, ops[j].key,
-                      resolved[i][j].second);
-          }
+          ApplyResolved(mem_.get(), seq, *group[i]->batch,
+                        resolved.data() + first_op[i]);
+          seq += group[i]->batch->count();
           group[i]->status = Status::OK();
         }
         last_sequence_.store(seq - 1, std::memory_order_release);
@@ -712,13 +720,13 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
       if (!included[i]) continue;
       Writer* writer = group[i];
       const SequenceNumber member_first = seq;
-      seq += writer->batch->ops().size();
+      seq += writer->batch->count();
       if (i == 0) {
         leader_seq = member_first;
         continue;  // The leader applies its own batch itself, below.
       }
       writer->apply_first_seq = member_first;
-      writer->apply_ops = &resolved[i];
+      writer->apply_ops = resolved.data() + first_op[i];
       writer->apply_state = &state;
       writer->apply_mem = mem_raw;
       writer->apply_assigned = true;
@@ -739,12 +747,7 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
       TraceSpan apply_span(TraceName::kMemtableApply,
                            static_cast<int64_t>(included_members));
       if (leader_included) {
-        const auto& ops = group[0]->batch->ops();
-        SequenceNumber s = leader_seq;
-        for (size_t j = 0; j < ops.size(); j++) {
-          mem_raw->Add(s++, resolved[0][j].first, ops[j].key,
-                       resolved[0][j].second);
-        }
+        ApplyResolved(mem_raw, leader_seq, *group[0]->batch, resolved.data());
         group[0]->status = Status::OK();
       }
       // Last-writer-out barrier: wait for every follower's insertions
@@ -775,19 +778,15 @@ void DB::ApplyParallelWriter(Writer* w) {
     // `remaining`, so apply_mem and apply_ops stay alive and stable.
     ScopedUnlock window(&mu_);
     PerfTimer apply_timer(&GetPerfContext()->memtable_apply_nanos);
-    const auto& ops = w->batch->ops();
-    const auto& resolved_ops = *w->apply_ops;
-    SequenceNumber seq = w->apply_first_seq;
-    for (size_t j = 0; j < ops.size(); j++) {
-      w->apply_mem->Add(seq++, resolved_ops[j].first, ops[j].key,
-                        resolved_ops[j].second);
-    }
+    ApplyResolved(w->apply_mem, w->apply_first_seq, *w->batch, w->apply_ops);
     w->status = Status::OK();
     // Release decrement: publishes this writer's Adds and status to the
-    // leader's acquire load. Signal under the barrier mutex so the
-    // leader's predicate check and wait cannot miss the final decrement.
+    // leader's acquire load. Decrement and signal under the barrier mutex:
+    // the leader destroys `state` as soon as it reads zero under that
+    // mutex, so the last writer must be done with it before the leader can
+    // look (and the leader's check and wait cannot miss the decrement).
+    MutexLock barrier(state->mu);
     if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      MutexLock barrier(state->mu);
       state->cv.Signal();
     }
   }
@@ -797,6 +796,13 @@ void DB::ApplyParallelWriter(Writer* w) {
   w->apply_ops = nullptr;
   w->apply_state = nullptr;
   w->apply_mem = nullptr;
+}
+
+void DB::ApplyResolved(MemTable* mem, SequenceNumber first_seq,
+                       const WriteBatch& batch, const ResolvedOp* ops) {
+  for (size_t j = 0; j < batch.count(); j++) {
+    mem->Add(first_seq + j, ops[j].type, batch.key(j), ops[j].value);
+  }
 }
 
 void DB::AccumulateMemTableStats(const MemTable& mem) {
@@ -1956,7 +1962,10 @@ Status DB::FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
     AccumulateMemTableStats(*mem);
     mem_ = std::make_shared<MemTable>(internal_comparator_,
                                       MemTableOptionsFromDb(options_));
-    PublishViewLocked();
+    // With a run to install, LogAndApply publishes once it is in current_:
+    // a view with the empty memtable but without the run would hide
+    // acknowledged keys from lock-free readers during the manifest append.
+    if (out == nullptr) PublishViewLocked();
   }
   if (out != nullptr) {
     current_.EnsureLevel(1);

@@ -312,6 +312,14 @@ class DB {
     CondVar cv{&mu};
   };
 
+  // One batch op after key-value separation: the op's own type and value,
+  // or kValueHandle and the encoded handle of a value moved to the log.
+  // The value points into the batch or into the leader's handle storage.
+  struct ResolvedOp {
+    ValueType type;
+    Slice value;
+  };
+
   struct Writer {
     Writer(const WriteBatch* b, bool s, Mutex* mu)
         : batch(b), sync(s), cv(mu) {}
@@ -328,10 +336,9 @@ class DB {
     // the group until every member decrements apply_state->remaining.
     bool apply_assigned = false;
     SequenceNumber apply_first_seq = 0;
-    // This writer's vlog-resolved operations (type, payload) — parallel
-    // to its batch's ops; owned by the leader's `resolved` vector.
-    const std::vector<std::pair<ValueType, std::string>>* apply_ops =
-        nullptr;
+    // This writer's vlog-resolved operations, one per batch op; a span
+    // of the leader's `resolved` vector.
+    const ResolvedOp* apply_ops = nullptr;
     ParallelApplyState* apply_state = nullptr;
     MemTable* apply_mem = nullptr;
   };
@@ -363,6 +370,11 @@ class DB {
   // before returning. Called by follower threads from DB::Write's wait
   // loop when the leader hands them their assignment.
   void ApplyParallelWriter(Writer* w) REQUIRES(mu_);
+
+  // Inserts one member's resolved ops into `mem` with sequence numbers
+  // first_seq, first_seq + 1, ...
+  static void ApplyResolved(MemTable* mem, SequenceNumber first_seq,
+                            const WriteBatch& batch, const ResolvedOp* ops);
 
   // Folds a retiring memtable's arena/skiplist counters into counters_ so
   // DbStats aggregates survive the flush. Called wherever mem_ is swapped.

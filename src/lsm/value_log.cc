@@ -54,19 +54,24 @@ Status ValueLog::Open(Env* env, const std::string& dbname,
 // this lock.
 Status ValueLog::Add(const Slice& value, bool sync, ValueHandle* handle) {
   MutexLock lock(mu_);
-  std::string header;
-  PutFixed32(&header, MaskCrc(Crc32c(value.data(), value.size())));
-  PutFixed32(&header, static_cast<uint32_t>(value.size()));
+  char header[8];
+  EncodeFixed32(header, MaskCrc(Crc32c(value.data(), value.size())));
+  EncodeFixed32(header + 4, static_cast<uint32_t>(value.size()));
 
   handle->file_number = active_number_;
   handle->offset = active_offset_;
   handle->size = static_cast<uint32_t>(value.size());
 
-  MONKEYDB_RETURN_IF_ERROR(active_->Append(header));
+  MONKEYDB_RETURN_IF_ERROR(active_->Append(Slice(header, sizeof(header))));
   MONKEYDB_RETURN_IF_ERROR(active_->Append(value));
+  // Get preads the active file through its own descriptor, so the record
+  // must be in the kernel before its handle is handed out.
+  // monkey-lint: lock-order — WritableFile::Flush takes no lock; by name
+  // alone the call graph also reaches DB::Flush, which takes DB::mu_.
+  MONKEYDB_RETURN_IF_ERROR(active_->Flush());
   if (sync) MONKEYDB_RETURN_IF_ERROR(active_->Sync());
-  active_offset_ += header.size() + value.size();
-  bytes_appended_ += header.size() + value.size();
+  active_offset_ += sizeof(header) + value.size();
+  bytes_appended_ += sizeof(header) + value.size();
   return Status::OK();
 }
 
@@ -97,8 +102,8 @@ Status ValueLog::ReaderFor(uint64_t number,
 
 Status ValueLog::Get(const ValueHandle& handle, std::string* value) {
   std::shared_ptr<RandomAccessFile> reader;
-  // Reading from the active file requires its buffered bytes to be
-  // visible; our Env implementations write through, so this is safe.
+  // Reading from the active file requires its appended bytes to be
+  // visible; Add flushes every record before returning its handle.
   MONKEYDB_RETURN_IF_ERROR(ReaderFor(handle.file_number, &reader));
 
   const size_t n = 8 + handle.size;

@@ -8,11 +8,14 @@
 namespace monkeydb {
 
 Status WalWriter::AddRecord(const Slice& payload, bool sync) {
-  std::string header;
-  PutFixed32(&header, MaskCrc(Crc32c(payload.data(), payload.size())));
-  PutFixed32(&header, static_cast<uint32_t>(payload.size()));
-  MONKEYDB_RETURN_IF_ERROR(file_->Append(header));
+  char header[8];
+  EncodeFixed32(header, MaskCrc(Crc32c(payload.data(), payload.size())));
+  EncodeFixed32(header + 4, static_cast<uint32_t>(payload.size()));
+  MONKEYDB_RETURN_IF_ERROR(file_->Append(Slice(header, sizeof(header))));
   MONKEYDB_RETURN_IF_ERROR(file_->Append(payload));
+  // Every record reaches the kernel before it is acknowledged, so a
+  // process exit never loses it and the buffer is empty between records.
+  MONKEYDB_RETURN_IF_ERROR(file_->Flush());
   if (sync) {
     StopWatch watch(metrics_, Hist::kWalSyncLatency);
     PerfTimer timer(&GetPerfContext()->wal_sync_nanos);

@@ -38,7 +38,7 @@ class WalWriter {
   // misattributed).
   void SetMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  // Appends one record. If sync, fsyncs after the append.
+  // Appends one record and flushes it to the file. If sync, fsyncs after.
   Status AddRecord(const Slice& payload, bool sync);
 
   Status Close() { return file_->Close(); }

@@ -60,28 +60,22 @@ Status TableBuilder::WriteRawBlock(const Slice& payload, BlockHandle* handle,
   handle->offset = offset_;
   handle->size = payload.size();
 
-  // Trailer: type byte + masked CRC over payload+type.
-  char trailer[kBlockTrailerSize];
-  trailer[0] = kNoCompression;
-  std::string crc_input(payload.data(), payload.size());
-  crc_input.push_back(kNoCompression);
-  EncodeFixed32(trailer + 1, MaskCrc(Crc32c(crc_input.data(),
-                                            crc_input.size())));
-
-  MONKEYDB_RETURN_IF_ERROR(file_->Append(payload));
-  MONKEYDB_RETURN_IF_ERROR(
-      file_->Append(Slice(trailer, kBlockTrailerSize)));
-  offset_ += payload.size() + kBlockTrailerSize;
-
+  // The whole image goes out in one Append: payload, type byte, masked CRC
+  // over payload+type, then zero padding to the page boundary.
+  size_t image_size = payload.size() + kBlockTrailerSize;
   if (pad_to_page) {
-    const size_t remainder = offset_ % options_.block_size;
-    if (remainder != 0) {
-      const size_t pad = options_.block_size - remainder;
-      std::string zeros(pad, '\0');
-      MONKEYDB_RETURN_IF_ERROR(file_->Append(zeros));
-      offset_ += pad;
-    }
+    const size_t remainder = (offset_ + image_size) % options_.block_size;
+    if (remainder != 0) image_size += options_.block_size - remainder;
   }
+  image_.assign(payload.data(), payload.size());
+  image_.push_back(kNoCompression);
+  char crc[sizeof(uint32_t)];
+  EncodeFixed32(crc, MaskCrc(Crc32c(image_.data(), image_.size())));
+  image_.append(crc, sizeof(crc));
+  image_.resize(image_size, '\0');
+
+  MONKEYDB_RETURN_IF_ERROR(file_->Append(Slice(image_)));
+  offset_ += image_size;
   return Status::OK();
 }
 

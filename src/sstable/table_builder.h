@@ -72,6 +72,7 @@ class TableBuilder {
   BlockBuilder index_block_;
   BloomFilterBuilder filter_builder_;
 
+  std::string image_;  // Reused page image buffer (see WriteRawBlock).
   std::string last_internal_key_;
   std::string smallest_key_;
   std::string largest_key_;

@@ -17,6 +17,11 @@ they alias a caller lock that is already represented at the call site.
 
 ScopedUnlock windows drop their mutex from the held set, so release-
 then-acquire sequences do not create edges.
+
+Calls resolve by simple name, so `file->Flush()` also reaches DB::Flush.
+A `// monkey-lint: lock-order — <reason>` on a call vouches that the call
+acquires none of the locks its namesakes do: it neither adds edges nor
+propagates acquisitions to its caller.
 """
 
 import os
@@ -148,6 +153,13 @@ class Graph:
         return [(v, w, self.edges[v][w])]
 
 
+def _vouched(sf, line):
+    """The lock-order suppression covering a call on `line`, if it gives a
+    reason (a reasonless one vouches for nothing)."""
+    s = sf.suppression_for(RULE, line)
+    return s if s is not None and s.reason else None
+
+
 def _transitive_acquires(project, regions):
     """qualname-independent fixpoint: id(fn) -> {node: (file, line)} of
     locks the function may acquire during its execution."""
@@ -171,6 +183,8 @@ def _transitive_acquires(project, regions):
             for fn in sf.functions:
                 mine = acq[id(fn)]
                 for (name, line, idx) in fn.calls:
+                    if _vouched(sf, line) is not None:
+                        continue
                     for target in project.resolve(name):
                         if target is fn:
                             continue
@@ -213,6 +227,7 @@ def run(project):
                 if not held:
                     continue
                 targets = project.resolve(name)
+                supp = _vouched(sf, line)
                 for target in targets:
                     if target is fn:
                         continue
@@ -221,6 +236,9 @@ def run(project):
                             src = _qualify(fn, h)
                             if src == node:
                                 continue  # Re-entry is the self-edge case.
+                            if supp is not None:
+                                supp.used = True  # Vouched away at the call.
+                                continue
                             graph.add(
                                 src, node, sf.path, line,
                                 f"{fn.qualname} holds '{h}' and calls "
