@@ -112,8 +112,7 @@ void BM_BlockedBloomQuery(benchmark::State& state) {
 BENCHMARK(BM_BlockedBloomQuery);
 
 void BM_MemTableInsert(benchmark::State& state) {
-  InternalKeyComparator cmp(BytewiseComparator());
-  auto mem = std::make_unique<MemTable>(cmp);
+  auto mem = std::make_unique<MemTable>();
   SequenceNumber seq = 0;
   Random rng(2);
   const std::string value(64, 'v');
@@ -123,7 +122,7 @@ void BM_MemTableInsert(benchmark::State& state) {
              value);
     if (mem->ApproximateMemoryUsage() > (64 << 20)) {
       state.PauseTiming();
-      mem = std::make_unique<MemTable>(cmp);
+      mem = std::make_unique<MemTable>();
       state.ResumeTiming();
     }
   }
@@ -132,8 +131,7 @@ void BM_MemTableInsert(benchmark::State& state) {
 BENCHMARK(BM_MemTableInsert);
 
 void BM_MemTableGet(benchmark::State& state) {
-  InternalKeyComparator cmp(BytewiseComparator());
-  MemTable mem(cmp);
+  MemTable mem;
   for (int i = 0; i < 100000; i++) {
     const std::string key = "key" + std::to_string(i);
     mem.Add(i + 1, ValueType::kValue, key, "value");
@@ -153,7 +151,6 @@ BENCHMARK(BM_MemTableGet);
 
 void BM_TableProbe(benchmark::State& state) {
   auto env = NewMemEnv();
-  InternalKeyComparator cmp(BytewiseComparator());
   std::unique_ptr<WritableFile> file;
   env->NewWritableFile("/t.sst", &file).ok();
   TableBuilderOptions opts;
@@ -173,7 +170,6 @@ void BM_TableProbe(benchmark::State& state) {
   std::unique_ptr<RandomAccessFile> rfile;
   env->NewRandomAccessFile("/t.sst", &rfile).ok();
   TableReaderOptions ropts;
-  ropts.comparator = &cmp;
   std::unique_ptr<TableReader> table;
   TableReader::Open(ropts, std::move(rfile), builder.file_size(), &table)
       .ok();

@@ -70,9 +70,7 @@ int DumpTable(Env* env, const std::string& path, uint64_t number) {
   std::unique_ptr<RandomAccessFile> file;
   if (!env->NewRandomAccessFile(full, &file).ok()) return 1;
 
-  InternalKeyComparator cmp(BytewiseComparator());
   TableReaderOptions opts;
-  opts.comparator = &cmp;
   std::unique_ptr<TableReader> table;
   s = TableReader::Open(opts, std::move(file), size, &table);
   if (!s.ok()) {

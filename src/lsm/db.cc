@@ -93,11 +93,7 @@ struct DB::WindowState {
 DB::DB(const DbOptions& options, std::string name)
     : options_(options),
       name_(std::move(name)),
-      internal_comparator_(options.comparator != nullptr
-                               ? options.comparator
-                               : BytewiseComparator()),
-      mem_(std::make_shared<MemTable>(internal_comparator_,
-                                      MemTableOptionsFromDb(options))),
+      mem_(std::make_shared<MemTable>(MemTableOptionsFromDb(options))),
       metrics_(options.enable_metrics ? new MetricsRegistry : nullptr) {}
 
 DB::~DB() {
@@ -219,7 +215,6 @@ Status DB::OpenTable(RunPtr run) {
   const std::string fname = TableFileName(run->file_number);
   MONKEYDB_RETURN_IF_ERROR(options_.env->NewRandomAccessFile(fname, &file));
   TableReaderOptions topts;
-  topts.comparator = &internal_comparator_;
   topts.block_cache = options_.block_cache;
   topts.cache_file_id = run->file_number;
   topts.metrics = metrics_.get();
@@ -865,8 +860,7 @@ Status DB::SwitchMemTable() {
   AccumulateMemTableStats(*mem_);
   imm_.insert(imm_.begin(), ImmEntry{mem_, wal_number_});
   MONKEYDB_RETURN_IF_ERROR(NewWalLocked());
-  mem_ = std::make_shared<MemTable>(internal_comparator_,
-                                    MemTableOptionsFromDb(options_));
+  mem_ = std::make_shared<MemTable>(MemTableOptionsFromDb(options_));
   PublishViewLocked();
   bg_work_cv_.Signal();
   return Status::OK();
@@ -1076,7 +1070,7 @@ Status DB::CompactAll() {
 
   std::set<uint64_t> replaced(edit.deleted_files.begin(),
                               edit.deleted_files.end());
-  auto merged = NewMergingIterator(&internal_comparator_, std::move(children));
+  auto merged = NewMergingIterator(std::move(children));
   RunPtr out;
   MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), target,
                                     /*drop_tombstones=*/true,
@@ -1116,13 +1110,17 @@ Status DB::Get(const ReadOptions& options, const Slice& key,
   TraceArmer trace_armer(options.trace || TraceSampleHead());
   TraceSpan get_span(TraceName::kDbGet);
 
-  // Load the read sequence BEFORE the view: the view loaded afterwards is
-  // at least as new, so every entry at or below the sequence is in it.
+  // Pin the view BEFORE loading the read sequence. Each run in the view was
+  // built by a job whose smallest_snapshot was at most the sequence when
+  // the job started, so the newest version of a key at or below a sequence
+  // loaded now survived in it. (Loading the sequence first would let a
+  // flush publish in between and drop that version, hiding the key.) Every
+  // write acknowledged before this call is in one of the view's memtables.
+  const std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
-  const std::shared_ptr<const ReadView> view = CurrentView();
   LookupKey lookup(key, read_seq);
 
   // 1. The buffer (Level 0): active memtable, then frozen ones newest-first.
@@ -1243,12 +1241,12 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
   std::vector<Status> statuses(keys.size(), Status::OK());
   if (keys.empty()) return statuses;
 
-  // One snapshot for the whole batch (sequence before view, as in Get).
+  // One snapshot for the whole batch (view before sequence, as in Get).
+  const std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
-  const std::shared_ptr<const ReadView> view = CurrentView();
 
   std::vector<LookupKey> lookups;
   lookups.reserve(keys.size());
@@ -1629,7 +1627,7 @@ Status DB::BuildRunFromJob(Iterator* iter, const CompactionJob& job,
   }
   for (; iter->Valid(); iter->Next()) {
     if (!job.end_key.empty() &&
-        internal_comparator_.Compare(iter->key(), Slice(job.end_key)) >= 0) {
+        CompareInternalKeys(iter->key(), Slice(job.end_key)) >= 0) {
       break;
     }
     ParsedInternalKey parsed;
@@ -1637,8 +1635,7 @@ Status DB::BuildRunFromJob(Iterator* iter, const CompactionJob& job,
       return Status::Corruption("malformed key during compaction");
     }
     const bool same_key =
-        has_prev && internal_comparator_.user_comparator()->Compare(
-                        parsed.user_key, Slice(prev_user_key)) == 0;
+        has_prev && parsed.user_key.compare(Slice(prev_user_key)) == 0;
     if (!same_key) {
       prev_user_key.assign(parsed.user_key.data(), parsed.user_key.size());
       has_prev = true;
@@ -1712,7 +1709,7 @@ Status DB::BuildMergeOutputs(const std::vector<RunPtr>& inputs,
     for (const RunPtr& run : inputs) {
       children.push_back(run->table->NewIterator());
     }
-    return NewMergingIterator(&internal_comparator_, std::move(children));
+    return NewMergingIterator(std::move(children));
   };
 
   // Pick the partitioning. Only leveling merges are split: tiering and
@@ -1735,17 +1732,12 @@ Status DB::BuildMergeOutputs(const std::vector<RunPtr>& inputs,
         run->table->AppendBoundaryUserKeys(&candidates);
       }
     }
-    const Comparator* ucmp = internal_comparator_.user_comparator();
     std::sort(candidates.begin(), candidates.end(),
-              [ucmp](const std::string& a, const std::string& b) {
-                return ucmp->Compare(Slice(a), Slice(b)) < 0;
+              [](const std::string& a, const std::string& b) {
+                return Slice(a).compare(Slice(b)) < 0;
               });
-    candidates.erase(
-        std::unique(candidates.begin(), candidates.end(),
-                    [ucmp](const std::string& a, const std::string& b) {
-                      return ucmp->Compare(Slice(a), Slice(b)) == 0;
-                    }),
-        candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
     if (static_cast<int>(candidates.size()) + 1 < want) {
       want = static_cast<int>(candidates.size()) + 1;
     }
@@ -1945,8 +1937,7 @@ Status DB::FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
     (*levels)[0] = outs;
     if (swap_active) {
       AccumulateMemTableStats(*mem);
-      mem_ = std::make_shared<MemTable>(internal_comparator_,
-                                        MemTableOptionsFromDb(options_));
+      mem_ = std::make_shared<MemTable>(MemTableOptionsFromDb(options_));
     }
     return LogAndApply(edit);
   }
@@ -1960,8 +1951,7 @@ Status DB::FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
       mem->num_entries(), {}, &out, io_unlock));
   if (swap_active) {
     AccumulateMemTableStats(*mem);
-    mem_ = std::make_shared<MemTable>(internal_comparator_,
-                                      MemTableOptionsFromDb(options_));
+    mem_ = std::make_shared<MemTable>(MemTableOptionsFromDb(options_));
     // With a run to install, LogAndApply publishes once it is in current_:
     // a view with the empty memtable but without the run would hide
     // acknowledged keys from lock-free readers during the manifest append.
@@ -2161,8 +2151,7 @@ Status DB::CascadeTiering(bool io_unlock) {
     cinfo.input_runs = runs.size();
     cinfo.input_entries = estimate;
     CompactionScope scope(this, cinfo);
-    auto merged =
-        NewMergingIterator(&internal_comparator_, std::move(children));
+    auto merged = NewMergingIterator(std::move(children));
     RunPtr out;
     const bool drop = CanDropTombstones(next_level) &&
                       current_.RunsAt(next_level).empty();
@@ -2233,8 +2222,7 @@ Status DB::CascadeLazyLeveling(bool io_unlock) {
           cinfo.input_runs = runs.size();
           cinfo.input_entries = estimate;
           CompactionScope scope(this, cinfo);
-          auto merged = NewMergingIterator(&internal_comparator_,
-                                           std::move(children));
+          auto merged = NewMergingIterator(std::move(children));
           RunPtr out;
           MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), level,
                                             CanDropTombstones(level),
@@ -2316,8 +2304,7 @@ Status DB::CascadeLazyLeveling(bool io_unlock) {
         cinfo.input_runs = edit.deleted_files.size();
         cinfo.input_entries = estimate;
         CompactionScope scope(this, cinfo);
-        auto merged = NewMergingIterator(&internal_comparator_,
-                                         std::move(children));
+        auto merged = NewMergingIterator(std::move(children));
         RunPtr out;
         const bool drop = CanDropTombstones(next_level) &&
                           (absorb_next || current_.RunsAt(next_level).empty());
@@ -2984,9 +2971,7 @@ void DB::SetStallCondition(WriteStallInfo::Condition next) {
 }
 
 uint64_t DB::ApproximateSize(const Slice& start, const Slice& limit) const {
-  if (internal_comparator_.user_comparator()->Compare(start, limit) >= 0) {
-    return 0;
-  }
+  if (start.compare(limit) >= 0) return 0;
   const std::shared_ptr<const ReadView> view = CurrentView();
   const Version& version = *view->version;
   uint64_t total = 0;
@@ -2994,9 +2979,8 @@ uint64_t DB::ApproximateSize(const Slice& start, const Slice& limit) const {
     for (const RunPtr& run : version.RunsAt(level)) {
       const Slice run_smallest = ExtractUserKey(Slice(run->smallest));
       const Slice run_largest = ExtractUserKey(Slice(run->largest));
-      const Comparator* cmp = internal_comparator_.user_comparator();
-      if (cmp->Compare(limit, run_smallest) <= 0 ||
-          cmp->Compare(start, run_largest) > 0) {
+      if (limit.compare(run_smallest) <= 0 ||
+          start.compare(run_largest) > 0) {
         continue;  // Disjoint.
       }
       // Fraction of the run's data blocks whose fence range intersects
@@ -3011,8 +2995,8 @@ uint64_t DB::ApproximateSize(const Slice& start, const Slice& limit) const {
       const double run_bytes = static_cast<double>(run->file_size);
       // Compare as strings for a crude interpolation anchor.
       auto frac = [&](const Slice& key) {
-        if (cmp->Compare(key, run_smallest) <= 0) return 0.0;
-        if (cmp->Compare(key, run_largest) >= 0) return 1.0;
+        if (key.compare(run_smallest) <= 0) return 0.0;
+        if (key.compare(run_largest) >= 0) return 1.0;
         // Interpolate on the first 8 bytes.
         auto prefix_value = [](const Slice& s) {
           uint64_t v = 0;

@@ -535,7 +535,6 @@ class DB {
 
   const DbOptions options_;
   const std::string name_;
-  InternalKeyComparator internal_comparator_;
 
   // Smallest sequence pinned by an active snapshot (or last_sequence_ if
   // none). Compactions must keep versions visible at this point.

@@ -11,15 +11,13 @@ namespace monkeydb {
 
 class DbIterator : public Iterator {
  public:
-  DbIterator(const DB* db, const InternalKeyComparator* comparator,
-             std::unique_ptr<Iterator> internal_iter,
+  DbIterator(const DB* db, std::unique_ptr<Iterator> internal_iter,
              SequenceNumber sequence,
              std::shared_ptr<const ReadView> pinned_view)
       : db_(db),
-        comparator_(comparator),
+        pinned_view_(std::move(pinned_view)),
         iter_(std::move(internal_iter)),
-        sequence_(sequence),
-        pinned_view_(std::move(pinned_view)) {}
+        sequence_(sequence) {}
 
   bool Valid() const override { return valid_; }
 
@@ -80,8 +78,7 @@ class DbIterator : public Iterator {
         continue;
       }
       const bool same_as_skipped =
-          has_skip_ && comparator_->user_comparator()->Compare(
-                           parsed.user_key, Slice(skip_key_)) == 0;
+          has_skip_ && parsed.user_key.compare(Slice(skip_key_)) == 0;
       if (same_as_skipped) {
         iter_->Next();
         continue;
@@ -108,13 +105,14 @@ class DbIterator : public Iterator {
   }
 
   const DB* db_;
-  const InternalKeyComparator* comparator_;
+  // Keeps every memtable and TableReader under iter_ alive, even after
+  // compactions replace the tree. Declared before iter_ so it is destroyed
+  // after it: iter_'s table cursors drain their in-flight readahead reads,
+  // which use the TableReader, in their destructors.
+  std::shared_ptr<const ReadView> pinned_view_;
   std::unique_ptr<Iterator> iter_;
   SequenceNumber sequence_;
   Status status_;
-  // Keeps every memtable and TableReader under iter_ alive, even after
-  // compactions replace the tree.
-  std::shared_ptr<const ReadView> pinned_view_;
 
   bool valid_ = false;
   bool has_skip_ = false;
@@ -124,14 +122,13 @@ class DbIterator : public Iterator {
 };
 
 std::unique_ptr<Iterator> DB::NewIterator(const ReadOptions& options) {
-  // Lock-free: pin a published ReadView; the sequence is loaded first so
-  // the view (at least as new) is guaranteed to contain every entry at or
-  // below it.
+  // Lock-free: pin a published ReadView, then load the sequence (the order
+  // matters; see DB::Get).
+  std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
-  std::shared_ptr<const ReadView> view = CurrentView();
   std::vector<std::unique_ptr<Iterator>> children;
   for (const MemTable* mem : view->MemTables()) {
     children.push_back(mem->NewIterator());
@@ -150,11 +147,9 @@ std::unique_ptr<Iterator> DB::NewIterator(const ReadOptions& options) {
       children.push_back(run->table->NewIterator(scan));
     }
   }
-  auto merged =
-      NewMergingIterator(&internal_comparator_, std::move(children));
-  return std::make_unique<DbIterator>(this, &internal_comparator_,
-                                      std::move(merged), read_seq,
-                                      std::move(view));
+  return std::make_unique<DbIterator>(
+      this, NewMergingIterator(std::move(children)), read_seq,
+      std::move(view));
 }
 
 }  // namespace monkeydb

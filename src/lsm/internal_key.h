@@ -14,7 +14,6 @@
 #include <string>
 
 #include "util/coding.h"
-#include "util/comparator.h"
 #include "util/slice.h"
 
 namespace monkeydb {
@@ -71,32 +70,18 @@ inline Slice ExtractUserKey(const Slice& internal_key) {
   return Slice(internal_key.data(), internal_key.size() - 8);
 }
 
-// Orders internal keys: user key ascending, then tag (sequence|type)
-// descending, so that for equal user keys the newest entry comes first.
-class InternalKeyComparator {
- public:
-  explicit InternalKeyComparator(const Comparator* user_comparator)
-      : user_comparator_(user_comparator) {}
-
-  int Compare(const Slice& a, const Slice& b) const {
-    int r = user_comparator_->Compare(ExtractUserKey(a), ExtractUserKey(b));
-    if (r == 0) {
-      const uint64_t atag = DecodeFixed64(a.data() + a.size() - 8);
-      const uint64_t btag = DecodeFixed64(b.data() + b.size() - 8);
-      if (atag > btag) {
-        r = -1;
-      } else if (atag < btag) {
-        r = +1;
-      }
-    }
-    return r;
-  }
-
-  const Comparator* user_comparator() const { return user_comparator_; }
-
- private:
-  const Comparator* user_comparator_;
-};
+// The engine's one key order, compiled in: user key ascending
+// (unsigned-bytewise, Slice::compare), then tag (sequence|type) descending,
+// so that for equal user keys the newest entry comes first. Memtables,
+// blocks, fence pointers and merges all sort by it; SSTs on disk are
+// written in it.
+inline int CompareInternalKeys(const Slice& a, const Slice& b) {
+  const int r = ExtractUserKey(a).compare(ExtractUserKey(b));
+  if (r != 0) return r;
+  const uint64_t atag = DecodeFixed64(a.data() + a.size() - 8);
+  const uint64_t btag = DecodeFixed64(b.data() + b.size() - 8);
+  return atag > btag ? -1 : (atag < btag ? +1 : 0);
+}
 
 // A lookup key: the internal key for (user_key, snapshot sequence) that
 // sorts before all entries visible at that snapshot.

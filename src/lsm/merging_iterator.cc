@@ -8,10 +8,8 @@ namespace {
 
 class MergingIterator : public Iterator {
  public:
-  MergingIterator(const InternalKeyComparator* comparator,
-                  std::vector<std::unique_ptr<Iterator>> children)
-      : comparator_(comparator),
-        children_(std::move(children)),
+  explicit MergingIterator(std::vector<std::unique_ptr<Iterator>> children)
+      : children_(std::move(children)),
         current_(nullptr) {}
 
   bool Valid() const override { return current_ != nullptr; }
@@ -43,7 +41,7 @@ class MergingIterator : public Iterator {
         if (child.get() == current_) continue;
         child->Seek(Slice(key));
         if (child->Valid() &&
-            comparator_->Compare(child->key(), Slice(key)) == 0) {
+            CompareInternalKeys(child->key(), Slice(key)) == 0) {
           child->Next();
         }
       }
@@ -97,7 +95,7 @@ class MergingIterator : public Iterator {
     for (auto& child : children_) {
       if (!child->Valid()) continue;
       if (smallest == nullptr ||
-          comparator_->Compare(child->key(), smallest->key()) < 0) {
+          CompareInternalKeys(child->key(), smallest->key()) < 0) {
         smallest = child.get();
       }
     }
@@ -109,14 +107,13 @@ class MergingIterator : public Iterator {
     for (auto& child : children_) {
       if (!child->Valid()) continue;
       if (largest == nullptr ||
-          comparator_->Compare(child->key(), largest->key()) > 0) {
+          CompareInternalKeys(child->key(), largest->key()) > 0) {
         largest = child.get();
       }
     }
     current_ = largest;
   }
 
-  const InternalKeyComparator* comparator_;
   std::vector<std::unique_ptr<Iterator>> children_;
   Iterator* current_;
   Direction direction_ = kForward;
@@ -138,11 +135,10 @@ class EmptyIterator : public Iterator {
 }  // namespace
 
 std::unique_ptr<Iterator> NewMergingIterator(
-    const InternalKeyComparator* comparator,
     std::vector<std::unique_ptr<Iterator>> children) {
   if (children.empty()) return std::make_unique<EmptyIterator>();
   if (children.size() == 1) return std::move(children[0]);
-  return std::make_unique<MergingIterator>(comparator, std::move(children));
+  return std::make_unique<MergingIterator>(std::move(children));
 }
 
 }  // namespace monkeydb

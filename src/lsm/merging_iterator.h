@@ -1,5 +1,5 @@
-// MergingIterator: k-way merge over sorted child iterators, ordered by the
-// internal key comparator. Ties (same internal key) cannot occur because
+// MergingIterator: k-way merge over sorted child iterators, ordered by
+// CompareInternalKeys. Ties (same internal key) cannot occur because
 // sequence numbers are unique; for robustness, earlier children win.
 
 #ifndef MONKEYDB_LSM_MERGING_ITERATOR_H_
@@ -13,9 +13,8 @@
 
 namespace monkeydb {
 
-// Takes ownership of the children. comparator must outlive the iterator.
+// Takes ownership of the children.
 std::unique_ptr<Iterator> NewMergingIterator(
-    const InternalKeyComparator* comparator,
     std::vector<std::unique_ptr<Iterator>> children);
 
 }  // namespace monkeydb

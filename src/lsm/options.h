@@ -15,7 +15,6 @@
 #include "lsm/fpr_policy.h"
 #include "obs/event_listener.h"
 #include "obs/logger.h"
-#include "util/comparator.h"
 
 namespace monkeydb {
 
@@ -43,8 +42,6 @@ struct DbOptions {
   // file. Adds exactly one aligned bounce copy per block read; the default
   // buffered path reads straight into the block's final storage.
   bool use_direct_io = false;
-
-  const Comparator* comparator = nullptr;  // Defaults to bytewise.
 
   // --- LSM design knobs (paper Sec. 4, "Design Knobs") ---
 

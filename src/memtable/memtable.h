@@ -43,8 +43,7 @@ struct MemTableOptions {
 // links in both regimes).
 class MemTable {
  public:
-  explicit MemTable(const InternalKeyComparator& comparator,
-                    const MemTableOptions& options = MemTableOptions());
+  explicit MemTable(const MemTableOptions& options = MemTableOptions());
   ~MemTable();
 
   MemTable(const MemTable&) = delete;
@@ -91,8 +90,8 @@ class MemTable {
 
   // Exposed for the iterator implementation; not part of the public API.
   struct KeyComparator {
-    InternalKeyComparator comparator;
-    // Entries are length-prefixed internal keys.
+    // Entries are length-prefixed internal keys, ordered by
+    // CompareInternalKeys.
     int operator()(const char* a, const char* b) const;
   };
 
@@ -105,7 +104,6 @@ class MemTable {
                           ValueType type, const Slice& key,
                           const Slice& value);
 
-  KeyComparator comparator_;
   // Non-null iff this memtable was built for concurrent inserts (same
   // object alloc_ owns; kept for stats access without a dynamic_cast).
   // Declared before alloc_: MakeAllocator fills it in while alloc_ is

@@ -27,8 +27,8 @@ void ApplyTuning(const Tuning& tuning, double num_entries,
                  DbOptions* options);
 
 // One-call "Navigable Monkey": tunes for (env, workload) and opens a DB at
-// `name` with the resulting options. base_options supplies env/comparator/
-// cache; its design knobs are overwritten by the tuning.
+// `name` with the resulting options. base_options supplies env/cache;
+// its design knobs are overwritten by the tuning.
 Status OpenNavigableMonkey(const Environment& env, const Workload& workload,
                            const DbOptions& base_options,
                            const std::string& name, Tuning* chosen,

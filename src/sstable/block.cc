@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "lsm/internal_key.h"
 #include "util/coding.h"
 
 namespace monkeydb {
@@ -77,18 +78,20 @@ Block::Block(std::shared_ptr<const std::string> contents)
   data_ = c.data();
   data_size_ = c.size() - restart_array_bytes;
   restarts_ = c.data() + data_size_;
-  ok_ = true;
+  // The builder always writes at least one restart. Entries without one
+  // cannot be sought or walked backwards (Prev would start at restart
+  // num_restarts_ - 1), so such a block is corrupt.
+  ok_ = num_restarts_ > 0 || data_size_ == 0;
 }
 
 namespace {
 
 class BlockIterator : public Iterator {
  public:
-  BlockIterator(const InternalKeyComparator* comparator, const char* data,
-                size_t data_size, const char* restarts, uint32_t num_restarts,
+  BlockIterator(const char* data, size_t data_size, const char* restarts,
+                uint32_t num_restarts,
                 std::shared_ptr<const std::string> owner)
-      : comparator_(comparator),
-        data_(data),
+      : data_(data),
         data_size_(data_size),
         restarts_(restarts),
         num_restarts_(num_restarts),
@@ -121,7 +124,7 @@ class BlockIterator : public Iterator {
         Corrupt();
         return;
       }
-      if (comparator_->Compare(mid_key, target) < 0) {
+      if (CompareInternalKeys(mid_key, target) < 0) {
         left = mid;
       } else {
         right = mid - 1;
@@ -129,7 +132,7 @@ class BlockIterator : public Iterator {
     }
     SeekToRestartPoint(left);
     while (ParseNextKey()) {
-      if (comparator_->Compare(Slice(key_), target) >= 0) return;
+      if (CompareInternalKeys(Slice(key_), target) >= 0) return;
     }
   }
 
@@ -236,7 +239,6 @@ class BlockIterator : public Iterator {
     key_.clear();
   }
 
-  const InternalKeyComparator* comparator_;
   const char* data_;
   size_t data_size_;
   const char* restarts_;
@@ -269,14 +271,13 @@ class ErrorIterator : public Iterator {
 
 }  // namespace
 
-std::unique_ptr<Iterator> Block::NewIterator(
-    const InternalKeyComparator* comparator) const {
+std::unique_ptr<Iterator> Block::NewIterator() const {
   if (!ok_) {
     return std::make_unique<ErrorIterator>(
         Status::Corruption("malformed block"));
   }
-  return std::make_unique<BlockIterator>(comparator, data_, data_size_,
-                                         restarts_, num_restarts_, contents_);
+  return std::make_unique<BlockIterator>(data_, data_size_, restarts_,
+                                         num_restarts_, contents_);
 }
 
 }  // namespace monkeydb

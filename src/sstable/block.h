@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "lsm/internal_key.h"
 #include "util/iterator.h"
 #include "util/slice.h"
 
@@ -65,9 +64,10 @@ class Block {
   size_t size() const { return data_size_; }
   bool ok() const { return ok_; }
 
-  // The comparator orders the (internal) keys stored in this block.
-  std::unique_ptr<Iterator> NewIterator(
-      const InternalKeyComparator* comparator) const;
+  // Iterates the block's internal keys, which are in CompareInternalKeys
+  // order. A block that failed to parse yields an iterator that reports
+  // Corruption.
+  std::unique_ptr<Iterator> NewIterator() const;
 
  private:
   std::shared_ptr<const std::string> contents_;

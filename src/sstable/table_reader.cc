@@ -20,7 +20,6 @@ Status TableReader::Open(const TableReaderOptions& options,
                          std::unique_ptr<RandomAccessFile> file,
                          uint64_t file_size,
                          std::unique_ptr<TableReader>* table) {
-  assert(options.comparator != nullptr);
   if (file_size < Footer::kEncodedLength) {
     return Status::Corruption("file too short to be a table");
   }
@@ -63,7 +62,7 @@ uint64_t TableReader::filter_size_bits() const {
 
 uint64_t TableReader::num_data_blocks() const {
   uint64_t n = 0;
-  auto it = index_block_->NewIterator(options_.comparator);
+  auto it = index_block_->NewIterator();
   for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
   return n;
 }
@@ -72,7 +71,7 @@ uint64_t TableReader::num_data_blocks() const {
 // the iterator here is Block::Iter (pure memory), which the lint's
 // simple-name resolution cannot tell apart from I/O-capable iterators.
 void TableReader::AppendBoundaryUserKeys(std::vector<std::string>* out) const {
-  auto it = index_block_->NewIterator(options_.comparator);
+  auto it = index_block_->NewIterator();
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     const Slice user_key = ExtractUserKey(it->key());
     out->emplace_back(user_key.data(), user_key.size());
@@ -266,7 +265,7 @@ Status TableReader::FindBlockHandle(const LookupKey& lookup,
   // >= the lookup internal key.
   if (perf) GetPerfContext()->fence_seeks++;
   TraceSpan fence_span(TraceName::kFenceSeek);
-  auto index_iter = index_block_->NewIterator(options_.comparator);
+  auto index_iter = index_block_->NewIterator();
   index_iter->Seek(lookup.internal_key());
   if (!index_iter->Valid()) {
     *state = ProbeState::kNoBlock;
@@ -286,7 +285,7 @@ Status TableReader::SearchBlock(
     ValueType* type) const {
   auto block = std::make_shared<const Block>(contents);
   if (!block->ok()) return Status::Corruption("malformed data block");
-  auto block_iter = block->NewIterator(options_.comparator);
+  auto block_iter = block->NewIterator();
   block_iter->Seek(lookup.internal_key());
   if (!block_iter->Valid()) {
     *result = TableLookupResult::kNotPresent;
@@ -297,8 +296,7 @@ Status TableReader::SearchBlock(
   if (!ParseInternalKey(block_iter->key(), &parsed)) {
     return Status::Corruption("malformed internal key in data block");
   }
-  if (options_.comparator->user_comparator()->Compare(
-          parsed.user_key, lookup.user_key()) != 0) {
+  if (parsed.user_key.compare(lookup.user_key()) != 0) {
     *result = TableLookupResult::kNotPresent;  // Bloom false positive.
     return Status::OK();
   }
@@ -377,8 +375,7 @@ class TableIterator : public Iterator {
   TableIterator(const TableReader* table, const TableScanOptions& scan)
       : table_(table),
         scan_(scan),
-        index_iter_(table->index_block_->NewIterator(
-            table->options_.comparator)) {}
+        index_iter_(table->index_block_->NewIterator()) {}
 
   ~TableIterator() override { CancelPrefetch(); }
 
@@ -470,7 +467,7 @@ class TableIterator : public Iterator {
       status_ = s;
       return;
     }
-    block_iter_ = block_->NewIterator(table_->options_.comparator);
+    block_iter_ = block_->NewIterator();
     if (seek_to_first) block_iter_->SeekToFirst();
   }
 
@@ -483,8 +480,7 @@ class TableIterator : public Iterator {
     if (scan_.readahead_blocks <= 0 || !index_iter_->Valid()) return;
     // Walk a private copy of the (in-memory) fence-pointer index forward
     // from the current position.
-    auto ahead =
-        table_->index_block_->NewIterator(table_->options_.comparator);
+    auto ahead = table_->index_block_->NewIterator();
     ahead->Seek(index_iter_->key());
     if (!ahead->Valid()) return;
     if (prefetch_ == nullptr) prefetch_ = std::make_shared<PrefetchSet>();

@@ -36,8 +36,7 @@ namespace monkeydb {
 class ThreadPool;
 
 struct TableReaderOptions {
-  const InternalKeyComparator* comparator = nullptr;  // Required.
-  BlockCache* block_cache = nullptr;                  // Optional.
+  BlockCache* block_cache = nullptr;  // Optional.
   // Identifies this file in the block cache; must be unique per table.
   uint64_t cache_file_id = 0;
   // Histogram sink for cache-lookup/block-read latencies (null = no

@@ -4,8 +4,10 @@
 #ifndef MONKEYDB_UTIL_SLICE_H_
 #define MONKEYDB_UTIL_SLICE_H_
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -59,18 +61,31 @@ class Slice {
     return std::string_view(data_, size_);
   }
 
-  // Three-way comparison: <0, ==0, >0 if this is <, ==, > b.
+  // Three-way comparison: <0, ==0, >0 if this is <, ==, > b, in
+  // unsigned-bytewise order (a prefix sorts first). This is the engine's one
+  // user-key order, so it is kept inline and free of calls: eight bytes at a
+  // time, each word loaded big-endian so that integer order is byte order.
   int compare(const Slice& b) const {
     const size_t min_len = size_ < b.size_ ? size_ : b.size_;
-    int r = memcmp(data_, b.data_, min_len);
-    if (r == 0) {
-      if (size_ < b.size_) {
-        r = -1;
-      } else if (size_ > b.size_) {
-        r = +1;
+    const auto* x = reinterpret_cast<const unsigned char*>(data_);
+    const auto* y = reinterpret_cast<const unsigned char*>(b.data_);
+    size_t i = 0;
+    for (; i + 8 <= min_len; i += 8) {
+      uint64_t wx, wy;
+      memcpy(&wx, x + i, 8);
+      memcpy(&wy, y + i, 8);
+      if (wx != wy) {
+        if constexpr (std::endian::native == std::endian::little) {
+          wx = __builtin_bswap64(wx);
+          wy = __builtin_bswap64(wy);
+        }
+        return wx < wy ? -1 : +1;
       }
     }
-    return r;
+    for (; i < min_len; i++) {
+      if (x[i] != y[i]) return x[i] < y[i] ? -1 : +1;
+    }
+    return size_ < b.size_ ? -1 : (size_ > b.size_ ? +1 : 0);
   }
 
   bool starts_with(const Slice& x) const {

@@ -7,6 +7,8 @@
 
 #include <map>
 
+#include "lsm/internal_key.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace monkeydb {
@@ -21,8 +23,6 @@ std::string IKey(const std::string& user_key, uint64_t seq = 100) {
 
 class BlockTest : public ::testing::TestWithParam<int> {
  protected:
-  BlockTest() : comparator_(BytewiseComparator()) {}
-
   std::unique_ptr<Block> Build(
       const std::vector<std::pair<std::string, std::string>>& entries) {
     BlockBuilder builder(GetParam());
@@ -31,8 +31,6 @@ class BlockTest : public ::testing::TestWithParam<int> {
     return std::make_unique<Block>(
         std::make_shared<const std::string>(payload.ToString()));
   }
-
-  InternalKeyComparator comparator_;
 };
 
 TEST_P(BlockTest, RoundTripInOrder) {
@@ -45,7 +43,7 @@ TEST_P(BlockTest, RoundTripInOrder) {
   auto block = Build(entries);
   ASSERT_TRUE(block->ok());
 
-  auto iter = block->NewIterator(&comparator_);
+  auto iter = block->NewIterator();
   size_t i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), i++) {
     ASSERT_LT(i, entries.size());
@@ -64,7 +62,7 @@ TEST_P(BlockTest, SeekFindsFirstGreaterOrEqual) {
     entries.push_back({IKey(buf), std::to_string(i)});
   }
   auto block = Build(entries);
-  auto iter = block->NewIterator(&comparator_);
+  auto iter = block->NewIterator();
 
   // Seek to a present key.
   const std::string present = IKey("key0042");
@@ -98,7 +96,7 @@ TEST_P(BlockTest, SeekToLastAndPrev) {
     entries.push_back({IKey(buf), std::to_string(i)});
   }
   auto block = Build(entries);
-  auto iter = block->NewIterator(&comparator_);
+  auto iter = block->NewIterator();
 
   iter->SeekToLast();
   ASSERT_TRUE(iter->Valid());
@@ -117,7 +115,7 @@ TEST_P(BlockTest, SeekToLastAndPrev) {
 TEST_P(BlockTest, EmptyBlock) {
   auto block = Build({});
   ASSERT_TRUE(block->ok());
-  auto iter = block->NewIterator(&comparator_);
+  auto iter = block->NewIterator();
   iter->SeekToFirst();
   EXPECT_FALSE(iter->Valid());
   const std::string ikey = IKey("x");
@@ -145,14 +143,14 @@ TEST_P(BlockTest, CorruptedBlockReportsError) {
       std::make_shared<const std::string>("not a block"));
   // Either the block parses as malformed or its iterator errors.
   if (block->ok()) {
-    auto iter = block->NewIterator(&comparator_);
+    auto iter = block->NewIterator();
     iter->SeekToFirst();
     // A garbage block must not yield entries silently *and* report OK with
     // valid state beyond its data.
     while (iter->Valid()) iter->Next();
     SUCCEED();
   } else {
-    auto iter = block->NewIterator(&comparator_);
+    auto iter = block->NewIterator();
     EXPECT_FALSE(iter->Valid());
     EXPECT_FALSE(iter->status().ok());
   }
@@ -160,6 +158,32 @@ TEST_P(BlockTest, CorruptedBlockReportsError) {
 
 INSTANTIATE_TEST_SUITE_P(RestartIntervals, BlockTest,
                          ::testing::Values(1, 2, 16, 128));
+
+// Two well-formed entries followed by a restart count of 0. The builder
+// always writes at least one restart, so this block is corrupt; walking it
+// must not reach Prev's restart search (restart num_restarts - 1 would be
+// index UINT32_MAX).
+TEST(BlockRestarts, ZeroRestartCountWithEntriesIsCorrupt) {
+  std::string contents;
+  for (const char* user_key : {"a", "b"}) {
+    const std::string key = IKey(user_key);
+    PutVarint32(&contents, 0);  // shared
+    PutVarint32(&contents, static_cast<uint32_t>(key.size()));
+    PutVarint32(&contents, 1);  // value length
+    contents += key;
+    contents += 'v';
+  }
+  PutFixed32(&contents, 0);  // num_restarts
+  Block block(std::make_shared<const std::string>(contents));
+  EXPECT_FALSE(block.ok());
+
+  auto iter = block.NewIterator();
+  iter->SeekToFirst();
+  if (iter->Valid()) iter->Next();
+  if (iter->Valid()) iter->Prev();
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_TRUE(iter->status().IsCorruption());
+}
 
 }  // namespace
 }  // namespace monkeydb

@@ -23,7 +23,6 @@
 #include "lsm/db.h"
 #include "lsm/internal_key.h"
 #include "memtable/memtable.h"
-#include "util/comparator.h"
 #include "util/concurrent_arena.h"
 
 namespace monkeydb {
@@ -198,8 +197,7 @@ std::string FuzzKey(int t, int i) {
 // every entry must be present, the iteration order strictly sorted, and
 // num_entries/ApproximateMemoryUsage consistent with what was inserted.
 TEST(ConcurrentMemTable, MultiThreadedInsertFuzz) {
-  InternalKeyComparator cmp(BytewiseComparator());
-  MemTable mem(cmp, ConcurrentMemTableOptions());
+  MemTable mem(ConcurrentMemTableOptions());
   ASSERT_TRUE(mem.concurrent_inserts());
 
   constexpr int kPerThread = 5000;

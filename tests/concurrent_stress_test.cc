@@ -30,7 +30,8 @@ DbOptions BackgroundOptions(Env* env) {
 // A writer updates two keys atomically in a WriteBatch while readers check,
 // through snapshots and through iterators, that they never observe the keys
 // at different generations (no torn multi-key writes, no inconsistent
-// views mid-compaction).
+// views mid-compaction), and that a plain Get never misses a key that
+// exists, even when a flush publishes while the Get is starting.
 TEST(ConcurrentStress, AtomicBatchesStayConsistentUnderChurn) {
   auto env = NewMemEnv();
   DbOptions options = BackgroundOptions(env.get());
@@ -59,6 +60,14 @@ TEST(ConcurrentStress, AtomicBatchesStayConsistentUnderChurn) {
       const bool ok_b = db->Get(ro, "pair_b", &b).ok();
       if (!ok_a || !ok_b || a != b) torn.fetch_add(1);
       db->ReleaseSnapshot(snap);
+    }
+  });
+
+  std::atomic<int> get_missing{0};
+  std::thread plain_reader([&] {
+    std::string a;
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (!db->Get(ReadOptions(), "pair_a", &a).ok()) get_missing.fetch_add(1);
     }
   });
 
@@ -100,8 +109,10 @@ TEST(ConcurrentStress, AtomicBatchesStayConsistentUnderChurn) {
   }
   stop.store(true);
   snapshot_reader.join();
+  plain_reader.join();
   iterator_reader.join();
   EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(get_missing.load(), 0);
 }
 
 // Every acked write must be readable after the writers finish, and the

@@ -73,7 +73,6 @@ TEST(Version, AggregatesAcrossLevels) {
 
 TEST(TableIterator, BackwardScanAcrossBlocks) {
   auto env = NewMemEnv();
-  InternalKeyComparator cmp(BytewiseComparator());
   std::unique_ptr<WritableFile> file;
   ASSERT_TRUE(env->NewWritableFile("/t.sst", &file).ok());
   TableBuilderOptions opts;
@@ -95,7 +94,6 @@ TEST(TableIterator, BackwardScanAcrossBlocks) {
   std::unique_ptr<RandomAccessFile> rfile;
   ASSERT_TRUE(env->NewRandomAccessFile("/t.sst", &rfile).ok());
   TableReaderOptions ropts;
-  ropts.comparator = &cmp;
   std::unique_ptr<TableReader> table;
   ASSERT_TRUE(TableReader::Open(ropts, std::move(rfile),
                                 builder.file_size(), &table)

@@ -64,15 +64,11 @@ TEST(SkipList, InsertContainsIterate) {
 
 class MemTableTest : public ::testing::Test {
  protected:
-  MemTableTest()
-      : comparator_(BytewiseComparator()), mem_(comparator_) {}
-
   Status Get(const std::string& key, std::string* value, bool* found) {
     LookupKey lookup(key, kMaxSequenceNumber);
     return mem_.Get(lookup, value, found);
   }
 
-  InternalKeyComparator comparator_;
   MemTable mem_;
 };
 

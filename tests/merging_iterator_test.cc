@@ -27,9 +27,8 @@ class VectorIterator : public Iterator {
   }
   void Seek(const Slice& target) override {
     pos_ = 0;
-    InternalKeyComparator cmp(BytewiseComparator());
     while (pos_ < entries_.size() &&
-           cmp.Compare(Slice(entries_[pos_].first), target) < 0) {
+           CompareInternalKeys(Slice(entries_[pos_].first), target) < 0) {
       pos_++;
     }
   }
@@ -56,13 +55,7 @@ std::string IKey(const std::string& user_key, uint64_t seq) {
   return k;
 }
 
-class MergingIteratorTest : public ::testing::Test {
- protected:
-  MergingIteratorTest() : comparator_(BytewiseComparator()) {}
-  InternalKeyComparator comparator_;
-};
-
-TEST_F(MergingIteratorTest, MergesSortedChildren) {
+TEST(MergingIteratorTest, MergesSortedChildren) {
   Random rng(3);
   std::vector<std::string> all_keys;
   std::vector<std::unique_ptr<Iterator>> children;
@@ -73,20 +66,19 @@ TEST_F(MergingIteratorTest, MergesSortedChildren) {
           IKey("k" + std::to_string(rng.Uniform(100000)), rng.Next() >> 10);
       entries.push_back({ik, "v"});
     }
-    InternalKeyComparator cmp(BytewiseComparator());
     std::sort(entries.begin(), entries.end(),
-              [&](const auto& a, const auto& b) {
-                return cmp.Compare(Slice(a.first), Slice(b.first)) < 0;
+              [](const auto& a, const auto& b) {
+                return CompareInternalKeys(Slice(a.first), Slice(b.first)) < 0;
               });
     for (const auto& [k, v] : entries) all_keys.push_back(k);
     children.push_back(std::make_unique<VectorIterator>(std::move(entries)));
   }
   std::sort(all_keys.begin(), all_keys.end(),
-            [&](const std::string& a, const std::string& b) {
-              return comparator_.Compare(Slice(a), Slice(b)) < 0;
+            [](const std::string& a, const std::string& b) {
+              return CompareInternalKeys(Slice(a), Slice(b)) < 0;
             });
 
-  auto merged = NewMergingIterator(&comparator_, std::move(children));
+  auto merged = NewMergingIterator(std::move(children));
   size_t i = 0;
   for (merged->SeekToFirst(); merged->Valid(); merged->Next(), i++) {
     ASSERT_LT(i, all_keys.size());
@@ -95,7 +87,7 @@ TEST_F(MergingIteratorTest, MergesSortedChildren) {
   EXPECT_EQ(i, all_keys.size());
 }
 
-TEST_F(MergingIteratorTest, SeekPositionsAcrossChildren) {
+TEST(MergingIteratorTest, SeekPositionsAcrossChildren) {
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(std::make_unique<VectorIterator>(
       std::vector<std::pair<std::string, std::string>>{
@@ -104,7 +96,7 @@ TEST_F(MergingIteratorTest, SeekPositionsAcrossChildren) {
       std::vector<std::pair<std::string, std::string>>{
           {IKey("c", 1), "3"}, {IKey("g", 1), "4"}}));
 
-  auto merged = NewMergingIterator(&comparator_, std::move(children));
+  auto merged = NewMergingIterator(std::move(children));
   const std::string ikey = IKey("b", kMaxSequenceNumber);
   merged->Seek(ikey);
   ASSERT_TRUE(merged->Valid());
@@ -114,8 +106,8 @@ TEST_F(MergingIteratorTest, SeekPositionsAcrossChildren) {
   EXPECT_EQ(ExtractUserKey(merged->key()).ToString(), "e");
 }
 
-TEST_F(MergingIteratorTest, EmptyChildrenYieldEmptyIterator) {
-  auto merged = NewMergingIterator(&comparator_, {});
+TEST(MergingIteratorTest, EmptyChildrenYieldEmptyIterator) {
+  auto merged = NewMergingIterator({});
   merged->SeekToFirst();
   EXPECT_FALSE(merged->Valid());
 
@@ -124,23 +116,23 @@ TEST_F(MergingIteratorTest, EmptyChildrenYieldEmptyIterator) {
       std::vector<std::pair<std::string, std::string>>{}));
   children.push_back(std::make_unique<VectorIterator>(
       std::vector<std::pair<std::string, std::string>>{}));
-  auto merged2 = NewMergingIterator(&comparator_, std::move(children));
+  auto merged2 = NewMergingIterator(std::move(children));
   merged2->SeekToFirst();
   EXPECT_FALSE(merged2->Valid());
 }
 
-TEST_F(MergingIteratorTest, SingleChildPassesThrough) {
+TEST(MergingIteratorTest, SingleChildPassesThrough) {
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(std::make_unique<VectorIterator>(
       std::vector<std::pair<std::string, std::string>>{
           {IKey("a", 1), "1"}}));
-  auto merged = NewMergingIterator(&comparator_, std::move(children));
+  auto merged = NewMergingIterator(std::move(children));
   merged->SeekToFirst();
   ASSERT_TRUE(merged->Valid());
   EXPECT_EQ(merged->value().ToString(), "1");
 }
 
-TEST_F(MergingIteratorTest, NewerVersionComesFirst) {
+TEST(MergingIteratorTest, NewerVersionComesFirst) {
   // Same user key in two children with different sequences: the newer
   // (higher seq) must be yielded first.
   std::vector<std::unique_ptr<Iterator>> children;
@@ -150,7 +142,7 @@ TEST_F(MergingIteratorTest, NewerVersionComesFirst) {
   children.push_back(std::make_unique<VectorIterator>(
       std::vector<std::pair<std::string, std::string>>{
           {IKey("k", 9), "new"}}));
-  auto merged = NewMergingIterator(&comparator_, std::move(children));
+  auto merged = NewMergingIterator(std::move(children));
   merged->SeekToFirst();
   ASSERT_TRUE(merged->Valid());
   EXPECT_EQ(merged->value().ToString(), "new");

@@ -32,8 +32,7 @@ class TablePrefetchTest : public ::testing::Test {
   TablePrefetchTest()
       : env_(NewMemEnv()),
         cache_(256 << 10),
-        pool_(4),
-        comparator_(BytewiseComparator()) {}
+        pool_(4) {}
 
   // Builds /t.sst with n sequential entries and opens a reader backed by
   // the shared block cache.
@@ -58,7 +57,6 @@ class TablePrefetchTest : public ::testing::Test {
     std::unique_ptr<RandomAccessFile> read_file;
     EXPECT_TRUE(env_->NewRandomAccessFile("/t.sst", &read_file).ok());
     TableReaderOptions ropts;
-    ropts.comparator = &comparator_;
     ropts.block_cache = &cache_;
     ropts.cache_file_id = 7;
     std::unique_ptr<TableReader> table;
@@ -103,7 +101,6 @@ class TablePrefetchTest : public ::testing::Test {
   std::unique_ptr<Env> env_;
   BlockCache cache_;
   ThreadPool pool_;
-  InternalKeyComparator comparator_;
 };
 
 TEST_F(TablePrefetchTest, ByteIdenticalAtEveryDepth) {

@@ -19,8 +19,7 @@ class TableTest : public ::testing::Test {
  protected:
   TableTest()
       : env_(NewMemEnv()),
-        counting_env_(env_.get(), &stats_, kPageSize),
-        comparator_(BytewiseComparator()) {}
+        counting_env_(env_.get(), &stats_, kPageSize) {}
 
   static constexpr size_t kPageSize = 4096;
 
@@ -50,7 +49,6 @@ class TableTest : public ::testing::Test {
     EXPECT_TRUE(
         counting_env_.NewRandomAccessFile("/t.sst", &read_file).ok());
     TableReaderOptions ropts;
-    ropts.comparator = &comparator_;
     std::unique_ptr<TableReader> table;
     EXPECT_TRUE(TableReader::Open(ropts, std::move(read_file), file_size_,
                                   &table)
@@ -67,7 +65,6 @@ class TableTest : public ::testing::Test {
   std::unique_ptr<Env> env_;
   IoStats stats_;
   CountingEnv counting_env_;
-  InternalKeyComparator comparator_;
   uint64_t file_size_ = 0;
   uint64_t num_blocks_ = 0;
 };
@@ -164,7 +161,6 @@ TEST_F(TableTest, TombstonesSurfaceAsDeleted) {
   std::unique_ptr<RandomAccessFile> rfile;
   ASSERT_TRUE(counting_env_.NewRandomAccessFile("/t.sst", &rfile).ok());
   TableReaderOptions ropts;
-  ropts.comparator = &comparator_;
   std::unique_ptr<TableReader> table;
   ASSERT_TRUE(TableReader::Open(ropts, std::move(rfile),
                                 builder.file_size(), &table)
@@ -217,7 +213,6 @@ TEST_F(TableTest, CorruptedFileRejected) {
   std::unique_ptr<RandomAccessFile> bad;
   ASSERT_TRUE(env_->NewRandomAccessFile("/bad.sst", &bad).ok());
   TableReaderOptions ropts;
-  ropts.comparator = &comparator_;
   std::unique_ptr<TableReader> table;
   Status s = TableReader::Open(ropts, std::move(bad), corrupted.size(),
                                &table);

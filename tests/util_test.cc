@@ -1,4 +1,4 @@
-// Tests for Slice, Status, Arena, hashing, RNG, and comparators.
+// Tests for Slice, Status, Arena, hashing, RNG, and the key order.
 
 #include <gtest/gtest.h>
 
@@ -6,8 +6,8 @@
 #include <map>
 #include <set>
 
+#include "lsm/internal_key.h"
 #include "util/arena.h"
-#include "util/comparator.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/slice.h"
@@ -231,12 +231,49 @@ TEST(Random, TemporalLocalityUniformAtHalf) {
   }
 }
 
-TEST(Comparator, Bytewise) {
-  const Comparator* cmp = BytewiseComparator();
-  EXPECT_LT(cmp->Compare("a", "b"), 0);
-  EXPECT_EQ(cmp->Compare("a", "a"), 0);
-  EXPECT_GT(cmp->Compare("b", "a"), 0);
-  EXPECT_STREQ(cmp->Name(), "monkeydb.BytewiseComparator");
+int Sign(int v) { return (v > 0) - (v < 0); }
+
+// The compiled-in key order against a reference: std::string_view::compare
+// (unsigned bytewise) for user keys, then tag descending. Keys are 0-40
+// bytes. Most pairs share a prefix of 7, 8, 9, 15, 16 or 17 bytes, so the
+// first difference lands on either side of Slice::compare's 8-byte word
+// boundaries and in its leftover bytes; every byte is 0x00, 0x7F, 0x80 or
+// 0xFF, so signed and unsigned byte order disagree. An eighth of the pairs
+// repeat the user key under a different tag.
+TEST(KeyOrder, InlineCompareMatchesReference) {
+  Random rng(1017);
+  const char kBytes[] = {'\x00', '\x7f', '\x80', '\xff'};
+  const size_t kShared[] = {0, 7, 8, 9, 15, 16, 17};
+  constexpr size_t kMaxLen = 40;
+  auto append_random = [&](std::string* key, size_t n) {
+    for (size_t j = 0; j < n; j++) *key += kBytes[rng.Uniform(4)];
+  };
+  for (int i = 0; i < 100000; i++) {
+    std::string a;
+    append_random(&a, kShared[rng.Uniform(7)]);
+    std::string b = a;
+    append_random(&a, rng.Uniform(kMaxLen - a.size() + 1));
+    if (rng.Uniform(8) == 0) {
+      b = a;
+    } else {
+      append_random(&b, rng.Uniform(kMaxLen - b.size() + 1));
+    }
+    const int want_user = Sign(std::string_view(a).compare(b));
+    ASSERT_EQ(Sign(Slice(a).compare(Slice(b))), want_user) << "pair " << i;
+
+    const uint64_t seq_a = rng.Uniform(1000);
+    const uint64_t seq_b = rng.Uniform(1000);
+    const auto type_a = static_cast<ValueType>(rng.Uniform(3));
+    const auto type_b = static_cast<ValueType>(rng.Uniform(3));
+    std::string ia, ib;
+    AppendInternalKey(&ia, a, seq_a, type_a);
+    AppendInternalKey(&ib, b, seq_b, type_b);
+    const uint64_t tag_a = PackSequenceAndType(seq_a, type_a);
+    const uint64_t tag_b = PackSequenceAndType(seq_b, type_b);
+    const int want =
+        want_user != 0 ? want_user : (tag_a < tag_b) - (tag_a > tag_b);
+    ASSERT_EQ(Sign(CompareInternalKeys(ia, ib)), want) << "pair " << i;
+  }
 }
 
 }  // namespace
