@@ -9,12 +9,27 @@ namespace monkeydb {
 
 namespace {
 
-// Double hashing (Kirsch-Mitzenmacher): probe_i = h1 + i·h2. One 64-bit
-// hash split into two 32-bit halves gives independent-enough h1/h2.
-inline void SplitHash(uint64_t h, uint32_t* h1, uint32_t* h2) {
-  *h1 = static_cast<uint32_t>(h);
-  *h2 = static_cast<uint32_t>(h >> 32) | 1;  // Odd so it cycles all slots.
-}
+// Double hashing (Kirsch-Mitzenmacher): probe_i = (h1 + i·h2) mod bits.
+// One 64-bit hash split into two 32-bit halves gives independent-enough
+// h1/h2. The probes step by modular addition — reduce h1 and h2 once, then
+// add and wrap — which yields exactly the bits of the textbook formula
+// (both addends are below `bits`, so one subtraction wraps) without a
+// 64-bit division per probe.
+struct ProbeSequence {
+  uint64_t bits;
+  uint64_t bit;
+  uint64_t step;
+
+  ProbeSequence(uint64_t h, uint64_t num_bits)
+      : bits(num_bits),
+        bit(static_cast<uint32_t>(h) % num_bits),
+        step((static_cast<uint32_t>(h >> 32) | 1) % num_bits) {}  // h2 odd.
+
+  void Next() {
+    bit += step;
+    if (bit >= bits) bit -= bits;
+  }
+};
 
 }  // namespace
 
@@ -35,8 +50,11 @@ std::string BloomFilterBuilder::FinishForFpr(double fpr) {
 
 std::string BloomFilterBuilder::BuildFromHashes(double total_bits) {
   std::string result;
-  if (total_bits < 1.0 || hashes_.empty()) {
-    hashes_.clear();
+  // The hashes are dead once the bits are set: hand the buffer back rather
+  // than keep its capacity alive for the builder's lifetime.
+  std::vector<uint64_t> hashes;
+  hashes.swap(hashes_);
+  if (total_bits < 1.0 || hashes.empty()) {
     return result;  // Empty filter: MayContain always true.
   }
 
@@ -46,21 +64,18 @@ std::string BloomFilterBuilder::BuildFromHashes(double total_bits) {
   bits = bytes * 8;
 
   const double bits_per_entry =
-      static_cast<double>(bits) / static_cast<double>(hashes_.size());
+      static_cast<double>(bits) / static_cast<double>(hashes.size());
   const int k = bloom::OptimalNumProbes(bits_per_entry);
 
   result.resize(bytes, 0);
   char* array = result.data();
-  for (uint64_t h : hashes_) {
-    uint32_t h1, h2;
-    SplitHash(h, &h1, &h2);
-    for (int i = 0; i < k; i++) {
-      const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits;
-      array[bit / 8] |= static_cast<char>(1 << (bit % 8));
+  for (uint64_t h : hashes) {
+    ProbeSequence probe(h, bits);
+    for (int i = 0; i < k; i++, probe.Next()) {
+      array[probe.bit / 8] |= static_cast<char>(1 << (probe.bit % 8));
     }
   }
   result.push_back(static_cast<char>(k));
-  hashes_.clear();
   return result;
 }
 
@@ -71,13 +86,10 @@ bool BloomFilterReader::MayContain(const Slice& filter, const Slice& key) {
   if (k > 30) return true;  // Reserved encodings: treat as always-positive.
   const uint64_t bits = array_bytes * 8;
 
-  const uint64_t h = XxHash64(key, /*seed=*/0xB10053ED);
-  uint32_t h1, h2;
-  SplitHash(h, &h1, &h2);
+  ProbeSequence probe(XxHash64(key, /*seed=*/0xB10053ED), bits);
   const char* array = filter.data();
-  for (int i = 0; i < k; i++) {
-    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits;
-    if ((array[bit / 8] & (1 << (bit % 8))) == 0) return false;
+  for (int i = 0; i < k; i++, probe.Next()) {
+    if ((array[probe.bit / 8] & (1 << (probe.bit % 8))) == 0) return false;
   }
   return true;
 }

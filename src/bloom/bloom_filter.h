@@ -31,10 +31,19 @@ class BloomFilterBuilder {
 
   size_t num_keys() const { return hashes_.size(); }
 
+  // Sizes the hash buffer (8 bytes per key) for up to n keys in one
+  // allocation, so adding them never regrows it.
+  void Reserve(size_t n) { hashes_.reserve(n); }
+
+  // The hash buffer's storage, for tests of its allocation behaviour.
+  const uint64_t* hash_data() const { return hashes_.data(); }
+  size_t hash_capacity() const { return hashes_.capacity(); }
+
   // Builds a filter sized for the given bits-per-key budget (fractional
   // budgets are honoured by rounding the *total* size, so e.g. 0.5 bits/key
   // over 1M keys still yields a useful filter). A budget <= 0 produces the
-  // empty (always-positive) filter. Resets the builder.
+  // empty (always-positive) filter. Resets the builder and releases its
+  // hash buffer.
   std::string Finish(double bits_per_key);
 
   // Builds a filter that targets the given false positive rate (Eq. 2

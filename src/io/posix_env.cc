@@ -185,8 +185,8 @@ class PosixRandomAccessFile : public RandomAccessFile {
 
 // Appends collect in a 64 KiB user-space buffer (LevelDB's
 // kWritableFileBufferSize) that reaches the kernel in one write(2) when it
-// fills: an SST is appended one 4 KiB page image at a time, and a syscall
-// per page would dominate a flush's CPU. An Append that does not fit after
+// fills: an SST is appended a 4 KiB page at a time (payload, then trailer
+// and padding), and a syscall per page would dominate a flush's CPU. An Append that does not fit after
 // topping up the buffer goes straight to the file. Appended bytes become
 // visible to readers, and survive a process exit, only after Flush, Sync or
 // Close.

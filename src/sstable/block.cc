@@ -1,7 +1,9 @@
 #include "sstable/block.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 #include "lsm/internal_key.h"
 #include "util/coding.h"
@@ -30,24 +32,51 @@ size_t BlockBuilder::CurrentSizeEstimate() const {
          sizeof(uint32_t);
 }
 
+namespace {
+
+// Length of the common prefix of a and b, compared a word at a time.
+size_t SharedPrefixLength(const Slice& a, const Slice& b) {
+  const size_t min_length = std::min(a.size(), b.size());
+  const char* x = a.data();
+  const char* y = b.data();
+  size_t shared = 0;
+  for (; shared + 8 <= min_length; shared += 8) {
+    uint64_t wx, wy;
+    memcpy(&wx, x + shared, 8);
+    memcpy(&wy, y + shared, 8);
+    if (wx != wy) {
+      const uint64_t diff = wx ^ wy;
+      // The first differing byte is the lowest-addressed one.
+      if constexpr (std::endian::native == std::endian::little) {
+        return shared + static_cast<size_t>(__builtin_ctzll(diff)) / 8;
+      } else {
+        return shared + static_cast<size_t>(__builtin_clzll(diff)) / 8;
+      }
+    }
+  }
+  while (shared < min_length && x[shared] == y[shared]) shared++;
+  return shared;
+}
+
+}  // namespace
+
 void BlockBuilder::Add(const Slice& key, const Slice& value) {
   assert(!finished_);
   size_t shared = 0;
   if (counter_ < restart_interval_) {
-    // Compute the shared prefix with the previous key.
-    const size_t min_length = std::min(last_key_.size(), key.size());
-    while (shared < min_length && last_key_[shared] == key[shared]) {
-      shared++;
-    }
+    shared = SharedPrefixLength(Slice(last_key_), key);
   } else {
     restarts_.push_back(static_cast<uint32_t>(buffer_.size()));
     counter_ = 0;
   }
   const size_t non_shared = key.size() - shared;
 
-  PutVarint32(&buffer_, static_cast<uint32_t>(shared));
-  PutVarint32(&buffer_, static_cast<uint32_t>(non_shared));
-  PutVarint32(&buffer_, static_cast<uint32_t>(value.size()));
+  // The three varint32 lengths go out in one append (at most 5 bytes each).
+  char header[15];
+  char* p = EncodeVarint32(header, static_cast<uint32_t>(shared));
+  p = EncodeVarint32(p, static_cast<uint32_t>(non_shared));
+  p = EncodeVarint32(p, static_cast<uint32_t>(value.size()));
+  buffer_.append(header, static_cast<size_t>(p - header));
   buffer_.append(key.data() + shared, non_shared);
   buffer_.append(value.data(), value.size());
 

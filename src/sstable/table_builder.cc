@@ -12,7 +12,9 @@ TableBuilder::TableBuilder(const TableBuilderOptions& options,
     : options_(options),
       file_(file),
       data_block_(options.restart_interval),
-      index_block_(1) {}
+      index_block_(1) {
+  filter_builder_.Reserve(options.expected_entries);
+}
 
 void TableBuilder::Add(const Slice& internal_key, const Slice& value) {
   if (!status_.ok() || finished_) return;
@@ -60,22 +62,26 @@ Status TableBuilder::WriteRawBlock(const Slice& payload, BlockHandle* handle,
   handle->offset = offset_;
   handle->size = payload.size();
 
-  // The whole image goes out in one Append: payload, type byte, masked CRC
-  // over payload+type, then zero padding to the page boundary.
-  size_t image_size = payload.size() + kBlockTrailerSize;
+  // Payload, type byte, masked CRC over payload+type, then zero padding to
+  // the page boundary. The payload goes to the (buffered) file straight
+  // from the block builder; only the trailer and the padding are staged,
+  // in one reused buffer whose padding stays zeroed.
+  size_t tail_size = kBlockTrailerSize;
   if (pad_to_page) {
-    const size_t remainder = (offset_ + image_size) % options_.block_size;
-    if (remainder != 0) image_size += options_.block_size - remainder;
+    const size_t remainder =
+        (offset_ + payload.size() + tail_size) % options_.block_size;
+    if (remainder != 0) tail_size += options_.block_size - remainder;
   }
-  image_.assign(payload.data(), payload.size());
-  image_.push_back(kNoCompression);
-  char crc[sizeof(uint32_t)];
-  EncodeFixed32(crc, MaskCrc(Crc32c(image_.data(), image_.size())));
-  image_.append(crc, sizeof(crc));
-  image_.resize(image_size, '\0');
+  if (trailer_.size() < tail_size) trailer_.resize(tail_size, '\0');
+  char* trailer = trailer_.data();
+  trailer[0] = kNoCompression;
+  const uint32_t crc =
+      Crc32cExtend(Crc32c(payload.data(), payload.size()), trailer, 1);
+  EncodeFixed32(trailer + 1, MaskCrc(crc));
 
-  MONKEYDB_RETURN_IF_ERROR(file_->Append(Slice(image_)));
-  offset_ += image_size;
+  MONKEYDB_RETURN_IF_ERROR(file_->Append(payload));
+  MONKEYDB_RETURN_IF_ERROR(file_->Append(Slice(trailer, tail_size)));
+  offset_ += payload.size() + tail_size;
   return Status::OK();
 }
 

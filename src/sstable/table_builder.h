@@ -29,6 +29,12 @@ struct TableBuilderOptions {
   // Target false positive rate for this table's Bloom filter. 1.0 disables
   // the filter (Monkey's unfiltered deep levels).
   double filter_fpr = 0.01;
+  // Upper bound on the entries the table will hold, when the caller knows
+  // one (a compaction does). The filter's hash buffer — 8 bytes per entry,
+  // the builder's largest allocation — is then sized once up front instead
+  // of regrown by doubling, which would briefly keep the old and the new
+  // buffer live together. 0 means unknown: the buffer grows as needed.
+  uint64_t expected_entries = 0;
 };
 
 class TableBuilder {
@@ -58,6 +64,9 @@ class TableBuilder {
   Slice smallest_key() const { return Slice(smallest_key_); }
   Slice largest_key() const { return Slice(largest_key_); }
 
+  // The filter builder, whose hash buffer Finish() releases.
+  const BloomFilterBuilder& filter_builder() const { return filter_builder_; }
+
  private:
   void FlushDataBlock();
   Status WriteRawBlock(const Slice& payload, BlockHandle* handle,
@@ -72,7 +81,7 @@ class TableBuilder {
   BlockBuilder index_block_;
   BloomFilterBuilder filter_builder_;
 
-  std::string image_;  // Reused page image buffer (see WriteRawBlock).
+  std::string trailer_;  // Trailer plus page padding (see WriteRawBlock).
   std::string last_internal_key_;
   std::string smallest_key_;
   std::string largest_key_;

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/bloom_math.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace monkeydb {
@@ -154,6 +157,91 @@ TEST(BloomFilter, TinyRunStillGetsFloorFilter) {
   EXPECT_GE(BloomFilterReader::SizeBits(filter), 64u);
   EXPECT_TRUE(BloomFilterReader::MayContain(filter, "only_key"));
   EXPECT_FALSE(BloomFilterReader::MayContain(filter, "other_key"));
+}
+
+// The textbook double-hashing filter the builder must match bit for bit:
+// probe_i = (h1 + i·h2) mod bits, one 64-bit division per probe.
+constexpr uint64_t kBloomSeed = 0xB10053ED;
+
+std::string ReferenceFilter(const std::vector<std::string>& keys,
+                            uint64_t bits, int k) {
+  std::string array(bits / 8, '\0');
+  for (const std::string& key : keys) {
+    const uint64_t h = XxHash64(key, kBloomSeed);
+    const uint32_t h1 = static_cast<uint32_t>(h);
+    const uint32_t h2 = static_cast<uint32_t>(h >> 32) | 1;
+    for (int i = 0; i < k; i++) {
+      const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits;
+      array[bit / 8] |= static_cast<char>(1 << (bit % 8));
+    }
+  }
+  array.push_back(static_cast<char>(k));
+  return array;
+}
+
+bool ReferenceMayContain(const std::string& filter, const std::string& key) {
+  const uint64_t bits = (filter.size() - 1) * 8;
+  const int k = static_cast<unsigned char>(filter.back());
+  const uint64_t h = XxHash64(key, kBloomSeed);
+  const uint32_t h1 = static_cast<uint32_t>(h);
+  const uint32_t h2 = static_cast<uint32_t>(h >> 32) | 1;
+  for (int i = 0; i < k; i++) {
+    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits;
+    if ((filter[bit / 8] & (1 << (bit % 8))) == 0) return false;
+  }
+  return true;
+}
+
+TEST(BloomFilter, BitIdenticalToTextbookDoubleHashing) {
+  // Every probe count from 1 to the maximum, each over a bit array whose
+  // size is not a power of two, plus FPR-sized filters as the engine
+  // builds them. The bytes must equal the textbook construction, and
+  // MayContain must agree with the textbook query on 100k probes.
+  struct Case {
+    int n;
+    double bits_per_key;  // <= 0: size by fpr instead.
+    double fpr;
+  };
+  std::vector<Case> cases;
+  const int max_k = bloom::OptimalNumProbes(1e9);
+  for (int k = 1; k <= max_k; k++) {
+    cases.push_back({997 + 31 * k, k / bloom::kLn2, 0.0});
+  }
+  for (double fpr : {0.5, 0.2, 0.0316, 0.01, 1e-4}) {
+    cases.push_back({4093, 0.0, fpr});
+    cases.push_back({25013, 0.0, fpr});
+  }
+
+  const int probes_per_case = 100000 / static_cast<int>(cases.size()) + 1;
+  int probes = 0;
+  int seen_k_max = 0;
+  for (const Case& c : cases) {
+    std::vector<std::string> keys;
+    BloomFilterBuilder builder;
+    for (int i = 0; i < c.n; i++) {
+      keys.push_back(Key(i));
+      builder.AddKey(keys.back());
+    }
+    const std::string filter = c.bits_per_key > 0
+                                   ? builder.Finish(c.bits_per_key)
+                                   : builder.FinishForFpr(c.fpr);
+    ASSERT_GE(filter.size(), 2u);
+    const uint64_t bits = BloomFilterReader::SizeBits(filter);
+    const int k = static_cast<unsigned char>(filter.back());
+    ASSERT_NE(bits & (bits - 1), 0u) << "bits=" << bits << " is a power of 2";
+    seen_k_max = std::max(seen_k_max, k);
+    ASSERT_EQ(filter, ReferenceFilter(keys, bits, k))
+        << "n=" << c.n << " k=" << k << " bits=" << bits;
+
+    for (int i = 0; i < probes_per_case; i++, probes++) {
+      const std::string key = Key(c.n + i * 7 - probes_per_case);
+      ASSERT_EQ(BloomFilterReader::MayContain(filter, key),
+                ReferenceMayContain(filter, key))
+          << key << " n=" << c.n << " k=" << k;
+    }
+  }
+  EXPECT_EQ(seen_k_max, max_k);
+  EXPECT_GE(probes, 100000);
 }
 
 TEST(BloomFilter, BuilderResetsAfterFinish) {

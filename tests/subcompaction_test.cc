@@ -265,5 +265,83 @@ TEST(Subcompaction, SnapshotSurvivesParallelMerges) {
   db->ReleaseSnapshot(snap);
 }
 
+// Filter probes per level (negatives plus false positives) since `before`.
+std::vector<uint64_t> FilterProbesSince(const DbStats& before,
+                                        const DbStats& after) {
+  std::vector<uint64_t> probes(after.filter_negatives_per_level.size(), 0);
+  for (size_t l = 0; l < probes.size(); l++) {
+    probes[l] = after.filter_negatives_per_level[l] +
+                after.false_positives_per_level[l];
+    if (l < before.filter_negatives_per_level.size()) {
+      probes[l] -= before.filter_negatives_per_level[l] +
+                   before.false_positives_per_level[l];
+    }
+  }
+  return probes;
+}
+
+// A leveling level cut into fragments still holds one logical run: a
+// zero-result lookup probes one filter per level (the fragment whose range
+// can hold the key), through Get and MultiGet, before and after a reopen.
+TEST(Subcompaction, ZeroResultLookupProbesOneFragmentPerLevel) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(SmallTreeOptions(env.get(), 4), "/db", &db).ok());
+  ApplyWorkload(db.get(), 1500, 3);
+
+  for (int pass = 0; pass < 2; pass++) {
+    SCOPED_TRACE(pass == 0 ? "open" : "reopened");
+    const DbStats shape = db->GetStats();
+    uint64_t fragmented_levels = 0;
+    for (uint64_t runs : shape.runs_per_level) {
+      if (runs > 1) fragmented_levels++;
+    }
+    ASSERT_GT(fragmented_levels, 0u) << "no level holds fragments";
+    for (uint64_t entries : shape.entries_per_level) {
+      ASSERT_GT(entries, 0u) << "an empty level would need no probe";
+    }
+
+    // Absent keys inside, below and above the key range.
+    std::vector<std::string> absent;
+    for (int i = 0; i < 1500; i += 3) absent.push_back(Key(i) + "x");
+    absent.push_back("a");
+    absent.push_back("zzz");
+    ReadOptions ro;
+    std::string value;
+    DbStats before = db->GetStats();
+    for (const std::string& key : absent) {
+      ASSERT_TRUE(db->Get(ro, key, &value).IsNotFound()) << key;
+    }
+    std::vector<uint64_t> probes = FilterProbesSince(before, db->GetStats());
+    for (size_t l = 0; l < shape.runs_per_level.size(); l++) {
+      EXPECT_EQ(probes[l], absent.size()) << "Get, level " << l + 1;
+    }
+
+    before = db->GetStats();
+    std::vector<Slice> keys(absent.begin(), absent.end());
+    std::vector<std::string> values;
+    for (const Status& s : db->MultiGet(ro, keys, &values)) {
+      EXPECT_TRUE(s.IsNotFound());
+    }
+    probes = FilterProbesSince(before, db->GetStats());
+    for (size_t l = 0; l < shape.runs_per_level.size(); l++) {
+      // MultiGet counts no probe for a filter pass past the last fence.
+      EXPECT_LE(probes[l], absent.size()) << "MultiGet, level " << l + 1;
+      EXPECT_GE(probes[l], absent.size() - 2) << "MultiGet, level " << l + 1;
+    }
+
+    // Every surviving key is still found in its fragment.
+    const auto scan = FullScan(db.get());
+    ASSERT_FALSE(scan.empty());
+    for (const auto& [key, expected] : scan) {
+      ASSERT_TRUE(db->Get(ro, key, &value).ok()) << key;
+      EXPECT_EQ(value, expected) << key;
+    }
+
+    db.reset();
+    ASSERT_TRUE(DB::Open(SmallTreeOptions(env.get(), 4), "/db", &db).ok());
+  }
+}
+
 }  // namespace
 }  // namespace monkeydb

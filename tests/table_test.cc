@@ -240,5 +240,55 @@ TEST_F(TableTest, FilterSizeTracksFprBudget) {
   EXPECT_EQ(none->filter_size_bits(), 0u);
 }
 
+TEST_F(TableTest, FilterHashBufferSizedOnceAndReleased) {
+  // Given an entry bound, the filter's hash buffer is allocated once at
+  // construction: adds up to the bound never move it. Finish releases it.
+  constexpr int kBound = 5000;
+  for (int n : {1, kBound / 2, kBound}) {
+    TableBuilderOptions opts;
+    opts.block_size = kPageSize;
+    opts.filter_fpr = 0.01;
+    opts.expected_entries = kBound;
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile("/hash.sst", &file).ok());
+    TableBuilder builder(opts, file.get());
+    const uint64_t* buffer = builder.filter_builder().hash_data();
+    ASSERT_NE(buffer, nullptr);
+    EXPECT_GE(builder.filter_builder().hash_capacity(),
+              static_cast<size_t>(kBound));
+    for (int i = 0; i < n; i++) {
+      std::string key;
+      const std::string user_key = UserKey(i);
+      AppendInternalKey(&key, user_key, 100, ValueType::kValue);
+      builder.Add(key, "value");
+      ASSERT_EQ(builder.filter_builder().hash_data(), buffer)
+          << "moved at add " << i << " of " << n;
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    EXPECT_EQ(builder.filter_builder().hash_capacity(), 0u) << "n=" << n;
+    EXPECT_GT(builder.filter_size_bits(), 0u);
+    ASSERT_TRUE(file->Close().ok());
+  }
+}
+
+TEST_F(TableTest, FilterHashBufferReleasedWithoutBound) {
+  TableBuilderOptions opts;
+  opts.block_size = kPageSize;
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env_->NewWritableFile("/grow.sst", &file).ok());
+  TableBuilder builder(opts, file.get());
+  EXPECT_EQ(builder.filter_builder().hash_capacity(), 0u);
+  for (int i = 0; i < 1000; i++) {
+    std::string key;
+    const std::string user_key = UserKey(i);
+    AppendInternalKey(&key, user_key, 100, ValueType::kValue);
+    builder.Add(key, "value");
+  }
+  EXPECT_GE(builder.filter_builder().hash_capacity(), 1000u);
+  ASSERT_TRUE(builder.Finish().ok());
+  EXPECT_EQ(builder.filter_builder().hash_capacity(), 0u);
+  ASSERT_TRUE(file->Close().ok());
+}
+
 }  // namespace
 }  // namespace monkeydb

@@ -144,22 +144,46 @@ TEST(Hash, Crc32cKnownVector) {
 TEST(Hash, Crc32cDispatchMatchesPortable) {
   // The dispatched implementation (possibly hardware CRC32C) must be
   // bit-identical to the portable one at every length and alignment —
-  // on-disk checksums written by one must verify under the other.
+  // on-disk checksums written by one must verify under the other. Lengths
+  // run to three pages so every lane configuration of the hardware path
+  // (long chunks, short chunks, single-lane tail) is crossed.
+  constexpr size_t kMaxLen = 12288;
   Random rng(17);
   std::string data;
-  for (int i = 0; i < 1024; i++) {
+  for (size_t i = 0; i < kMaxLen + 8; i++) {
     data.push_back(static_cast<char>(rng.Uniform(256)));
   }
-  for (size_t len : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 63u, 64u, 255u,
-                     511u, 512u, 1000u}) {
-    for (size_t off : {0u, 1u, 3u, 7u}) {
-      ASSERT_LE(off + len, data.size());
-      EXPECT_EQ(Crc32c(data.data() + off, len),
+  for (size_t off : {0u, 1u, 5u}) {
+    for (size_t len = 0; len <= kMaxLen; len++) {
+      ASSERT_EQ(Crc32c(data.data() + off, len),
                 Crc32cPortable(data.data() + off, len))
           << "len=" << len << " off=" << off
           << " impl=" << Crc32cImplName();
     }
   }
+}
+
+TEST(Hash, Crc32cExtendConcatenates) {
+  // Crc32cExtend(Crc32c(a), b) == Crc32c(a‖b), for the dispatched and the
+  // portable implementation, at split points inside and across lanes.
+  Random rng(29);
+  std::string data;
+  for (int i = 0; i < 9000; i++) {
+    data.push_back(static_cast<char>(rng.Uniform(256)));
+  }
+  const uint32_t whole = Crc32cPortable(data.data(), data.size());
+  for (size_t split : {0u, 1u, 7u, 8u, 383u, 384u, 1000u, 3072u, 4091u,
+                       4096u, 8999u, 9000u}) {
+    const char* b = data.data() + split;
+    const size_t b_len = data.size() - split;
+    EXPECT_EQ(Crc32cExtend(Crc32c(data.data(), split), b, b_len), whole)
+        << "split=" << split << " impl=" << Crc32cImplName();
+    EXPECT_EQ(
+        Crc32cPortableExtend(Crc32cPortable(data.data(), split), b, b_len),
+        whole)
+        << "split=" << split;
+  }
+  EXPECT_EQ(Crc32cExtend(Crc32c("1234", 4), "56789", 5), 0xE3069283u);
 }
 
 TEST(Hash, CrcMaskRoundTrip) {
