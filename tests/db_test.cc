@@ -474,11 +474,14 @@ TEST(DbBasics, BackgroundWorkerDrainsObsoleteFiles) {
   EXPECT_EQ(value, "v2047");
 }
 
-// Parks the first manifest append after Arm() until Release(), so a test
-// can read the DB while a flush sits at its commit point.
-class ManifestLatchEnv : public Env {
+// Parks the first append to a file whose name contains `name_part` after
+// Arm() until Release(): on "MANIFEST", a test can read the DB while a flush
+// sits at its commit point; on ".sst", the background worker stalls inside
+// a flush with mu_ released.
+class AppendLatchEnv : public Env {
  public:
-  explicit ManifestLatchEnv(Env* base) : base_(base) {}
+  AppendLatchEnv(Env* base, std::string name_part)
+      : base_(base), name_part_(std::move(name_part)) {}
 
   void Arm() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -507,7 +510,7 @@ class ManifestLatchEnv : public Env {
                          std::unique_ptr<WritableFile>* result) override {
     std::unique_ptr<WritableFile> file;
     MONKEYDB_RETURN_IF_ERROR(base_->NewWritableFile(fname, &file));
-    if (fname.find("MANIFEST") != std::string::npos) {
+    if (fname.find(name_part_) != std::string::npos) {
       *result = std::make_unique<LatchedFile>(this, std::move(file));
     } else {
       *result = std::move(file);
@@ -538,7 +541,7 @@ class ManifestLatchEnv : public Env {
  private:
   class LatchedFile : public WritableFile {
    public:
-    LatchedFile(ManifestLatchEnv* env, std::unique_ptr<WritableFile> base)
+    LatchedFile(AppendLatchEnv* env, std::unique_ptr<WritableFile> base)
         : env_(env), base_(std::move(base)) {}
     Status Append(const Slice& data) override {
       env_->ParkIfArmed();
@@ -549,7 +552,7 @@ class ManifestLatchEnv : public Env {
     Status Close() override { return base_->Close(); }
 
    private:
-    ManifestLatchEnv* env_;
+    AppendLatchEnv* env_;
     std::unique_ptr<WritableFile> base_;
   };
 
@@ -562,6 +565,7 @@ class ManifestLatchEnv : public Env {
   }
 
   Env* base_;
+  const std::string name_part_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool armed_ = false;
@@ -576,7 +580,7 @@ TEST(DbBasics, FlushNeverPublishesAViewMissingData) {
   for (MergePolicy policy :
        {MergePolicy::kTiering, MergePolicy::kLazyLeveling}) {
     auto base = NewMemEnv();
-    ManifestLatchEnv env(base.get());
+    AppendLatchEnv env(base.get(), "MANIFEST");
     DbOptions options;
     options.env = &env;
     options.merge_policy = policy;
@@ -593,6 +597,123 @@ TEST(DbBasics, FlushNeverPublishesAViewMissingData) {
     flusher.join();
     EXPECT_TRUE(s.ok()) << s.ToString();
     EXPECT_EQ(value, "v");
+  }
+}
+
+// Regression: two frozen memtables flushed back to back, with no write
+// between the two jobs, give two tiering runs the same sequence number.
+// Equal sequences do not make them fragments of one run: Get and MultiGet
+// must probe both, newer first, and a reopen must keep that order.
+TEST(DbBasics, BackToBackFlushesSharingASequenceStayDistinctRuns) {
+  auto base = NewMemEnv();
+  AppendLatchEnv env(base.get(), ".sst");
+  DbOptions options;
+  options.env = &env;
+  options.merge_policy = MergePolicy::kTiering;
+  options.size_ratio = 10.0;  // Three Level-1 runs stay unmerged.
+  options.background_compaction = true;
+  options.max_immutable_memtables = 2;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  WriteOptions wo;
+
+  // Run A: the worker parks inside its flush...
+  ASSERT_TRUE(db->Put(wo, "a", "a").ok());
+  env.Arm();
+  std::thread flush_a([&db] { EXPECT_TRUE(db->Flush().ok()); });
+  env.WaitUntilParked();
+
+  // ...while B is written and frozen behind it, then C is written.
+  std::map<std::string, std::string> expected = {{"a", "a"}};
+  for (int i = 0; i < 100; i++) {
+    char key[8];
+    snprintf(key, sizeof(key), "k%03d", i);
+    ASSERT_TRUE(db->Put(wo, key, "b").ok());
+    expected[key] = "b";
+  }
+  const uint64_t rotations = db->GetStats().wal_rotations;
+  std::thread flush_b([&db] { EXPECT_TRUE(db->Flush().ok()); });
+  while (db->GetStats().wal_rotations == rotations) {
+    std::this_thread::yield();
+  }
+  // C overwrites one of B's keys; its range ends below most of B's keys.
+  ASSERT_TRUE(db->Put(wo, "k050", "c").ok());
+  expected["k050"] = "c";
+
+  // No write from here on, so B's and C's flush jobs read the same last
+  // sequence.
+  env.Release();
+  ASSERT_TRUE(db->Flush().ok());
+  flush_a.join();
+  flush_b.join();
+  ASSERT_EQ(db->GetStats().runs_per_level.at(0), 3u);
+
+  for (int pass = 0; pass < 2; pass++) {
+    SCOPED_TRACE(pass == 0 ? "open" : "reopened");
+    std::vector<Slice> keys;
+    for (const auto& [key, value] : expected) {
+      std::string got;
+      ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+      EXPECT_EQ(got, value) << key;
+      keys.emplace_back(key);
+    }
+    std::vector<std::string> values;
+    const std::vector<Status> statuses =
+        db->MultiGet(ReadOptions(), keys, &values);
+    size_t i = 0;
+    for (const auto& [key, value] : expected) {
+      ASSERT_TRUE(statuses[i].ok()) << key;
+      EXPECT_EQ(values[i], value) << key;
+      i++;
+    }
+    db.reset();
+    ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  }
+}
+
+// The merge policy is an open-time option, so a leveled DB can open runs
+// written under tiering. Until they merge, Level 1 holds overlapping runs
+// that are not fragments of one run: a lookup must probe every one.
+TEST(DbBasics, LeveledOpenOfTieredRunsProbesEveryRun) {
+  auto env = NewMemEnv();
+  DbOptions options;
+  options.env = env.get();
+  options.merge_policy = MergePolicy::kTiering;
+  options.size_ratio = 10.0;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 100; i++) {
+    char key[8];
+    snprintf(key, sizeof(key), "k%03d", i);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, "old").ok());
+    expected[key] = "old";
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  // The newer run's range ends below most of the older run's keys.
+  ASSERT_TRUE(db->Put(WriteOptions(), "k050", "new").ok());
+  expected["k050"] = "new";
+  ASSERT_TRUE(db->Flush().ok());
+  db.reset();
+
+  options.merge_policy = MergePolicy::kLeveling;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_EQ(db->GetStats().runs_per_level.at(0), 2u);
+  std::vector<Slice> keys;
+  for (const auto& [key, value] : expected) {
+    std::string got;
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+    EXPECT_EQ(got, value) << key;
+    keys.emplace_back(key);
+  }
+  std::vector<std::string> values;
+  const std::vector<Status> statuses =
+      db->MultiGet(ReadOptions(), keys, &values);
+  size_t i = 0;
+  for (const auto& [key, value] : expected) {
+    ASSERT_TRUE(statuses[i].ok()) << key;
+    EXPECT_EQ(values[i], value) << key;
+    i++;
   }
 }
 
