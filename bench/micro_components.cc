@@ -14,7 +14,6 @@
 
 #include "harness.h"
 
-#include "bloom/blocked_bloom_filter.h"
 #include "bloom/bloom_filter.h"
 #include "io/env.h"
 #include "lsm/internal_key.h"
@@ -136,23 +135,6 @@ void BM_BloomQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BloomQuery);
-
-void BM_BlockedBloomQuery(benchmark::State& state) {
-  BlockedBloomFilterBuilder builder;
-  for (int i = 0; i < 100000; i++) {
-    const std::string key = "key" + std::to_string(i);
-    builder.AddKey(key);
-  }
-  const std::string filter = builder.Finish(10.0);
-  Random rng(1);
-  for (auto _ : state) {
-    const std::string key = "key" + std::to_string(rng.Uniform(200000));
-    benchmark::DoNotOptimize(
-        BlockedBloomFilterReader::MayContain(filter, key));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BlockedBloomQuery);
 
 void BM_MemTableInsert(benchmark::State& state) {
   auto mem = std::make_unique<MemTable>();

@@ -78,6 +78,18 @@ MemTableOptions MemTableOptionsFromDb(const DbOptions& options) {
   return mopts;
 }
 
+VersionEdit::AddedRun AddedRunOf(int level, const RunMetadata& run) {
+  VersionEdit::AddedRun added;
+  added.level = level;
+  added.file_number = run.file_number;
+  added.file_size = run.file_size;
+  added.num_entries = run.num_entries;
+  added.sequence = run.sequence;
+  added.smallest = run.smallest;
+  added.largest = run.largest;
+  return added;
+}
+
 }  // namespace
 
 // Windowed (ring-of-epochs) views advanced once per DumpMetrics scrape;
@@ -353,15 +365,7 @@ Status DB::Recover() {
     VersionEdit snapshot;
     for (int level = 1; level <= current_.NumLevels(); level++) {
       for (const RunPtr& run : current_.RunsAt(level)) {
-        VersionEdit::AddedRun added;
-        added.level = level;
-        added.file_number = run->file_number;
-        added.file_size = run->file_size;
-        added.num_entries = run->num_entries;
-        added.sequence = run->sequence;
-        added.smallest = run->smallest;
-        added.largest = run->largest;
-        snapshot.added.push_back(std::move(added));
+        snapshot.added.push_back(AddedRunOf(level, *run));
       }
     }
     snapshot.last_sequence = last_sequence_.load(std::memory_order_relaxed);
@@ -384,8 +388,7 @@ Status DB::Recover() {
   // If WAL replay left entries in the memtable, persist them now (before the
   // replayed logs are discarded).
   if (mem_->num_entries() > 0) {
-    MONKEYDB_RETURN_IF_ERROR(FlushMemTable(mem_, /*swap_active=*/true,
-                                           /*io_unlock=*/false));
+    MONKEYDB_RETURN_IF_ERROR(FlushMemTable(mem_, /*io_unlock=*/false));
     MONKEYDB_RETURN_IF_ERROR(Cascade(/*io_unlock=*/false));
   }
   for (const std::string& wal : old_wals) {
@@ -884,8 +887,7 @@ Status DB::FlushActiveMemTableLocked() {
   // (The caller holds mu_ from here on, so no new commit can start.)
   while (commit_in_flight_) commit_cv_.Wait();
   if (mem_->num_entries() == 0) return Status::OK();
-  MONKEYDB_RETURN_IF_ERROR(FlushMemTable(mem_, /*swap_active=*/true,
-                                         /*io_unlock=*/false));
+  MONKEYDB_RETURN_IF_ERROR(FlushMemTable(mem_, /*io_unlock=*/false));
   MONKEYDB_RETURN_IF_ERROR(Cascade(/*io_unlock=*/false));
   // The flushed entries are durable as a run; retire their WAL. The
   // unlink is queued — every caller drains right after this returns.
@@ -901,7 +903,8 @@ void DB::BackgroundMain() {
   MutexLock lock(mu_);
   while (true) {
     while (!(shutting_down_ ||
-             (bg_error_.ok() && (!imm_.empty() || CascadePendingLocked())))) {
+             (bg_error_.ok() &&
+              (!imm_.empty() || PickCompactionLocked().has_value())))) {
       bg_work_cv_.Wait();
     }
     // Pending frozen memtables stay durable in their WALs and are replayed
@@ -909,8 +912,8 @@ void DB::BackgroundMain() {
     if (shutting_down_) break;
     worker_busy_ = true;
     // Flushes outrank merges: a cascade abandoned mid-way (its early-exit
-    // fires when a frozen memtable arrives) leaves CascadePendingLocked()
-    // true, so the loop comes back to it once the queue is drained.
+    // fires when a frozen memtable arrives) leaves a step to pick, so the
+    // loop comes back to it once the queue is drained.
     Status s = !imm_.empty() ? FlushOldestImmutable()
                              : Cascade(/*io_unlock=*/true);
     // Unlink retired files before clearing worker_busy_: WaitForDrain
@@ -925,8 +928,7 @@ void DB::BackgroundMain() {
 
 Status DB::FlushOldestImmutable() {
   ImmEntry entry = imm_.back();
-  MONKEYDB_RETURN_IF_ERROR(FlushMemTable(entry.mem, /*swap_active=*/false,
-                                         /*io_unlock=*/true));
+  MONKEYDB_RETURN_IF_ERROR(FlushMemTable(entry.mem, /*io_unlock=*/true));
   // Retire the frozen memtable and the WAL that kept it durable. The pop
   // happens after its run is published, so readers always see the entries
   // in at least one place (briefly in both — duplicates at equal sequence
@@ -944,7 +946,8 @@ Status DB::WaitForDrain() {
   // fixpoint), but nudge it anyway in case this caller created work
   // without a notification.
   bg_work_cv_.Signal();
-  while ((!imm_.empty() || worker_busy_ || CascadePendingLocked()) &&
+  while ((!imm_.empty() || worker_busy_ ||
+          PickCompactionLocked().has_value()) &&
          bg_error_.ok() && !shutting_down_) {
     bg_done_cv_.Wait();
   }
@@ -1090,15 +1093,7 @@ Status DB::CompactAll() {
                                     /*io_unlock=*/false));
   scope.Completed(out != nullptr ? out->num_entries : 0, 1);
   if (out != nullptr) {
-    VersionEdit::AddedRun added;
-    added.level = target;
-    added.file_number = out->file_number;
-    added.file_size = out->file_size;
-    added.num_entries = out->num_entries;
-    added.sequence = out->sequence;
-    added.smallest = out->smallest;
-    added.largest = out->largest;
-    edit.added.push_back(std::move(added));
+    edit.added.push_back(AddedRunOf(target, *out));
   }
   for (auto& level : *current_.mutable_levels()) level.clear();
   if (out != nullptr) {
@@ -1882,18 +1877,29 @@ void DB::DrainObsoleteFilesLocked() {
   }
 }
 
-Status DB::FlushMemTable(std::shared_ptr<MemTable> mem, bool swap_active,
-                         bool io_unlock) {
+Status DB::FlushMemTable(std::shared_ptr<MemTable> mem, bool io_unlock) {
   if (mem->num_entries() == 0) return Status::OK();
-  if (buffer_entries_.load(std::memory_order_relaxed) == 0) {
+  // Every level capacity scales from B·P, so only a full buffer may fix
+  // it: a partial flush (an explicit Flush(), or Recover's replayed WAL
+  // tail) would shrink the whole tree for the rest of the incarnation.
+  if (buffer_entries_.load(std::memory_order_relaxed) == 0 &&
+      mem->ApproximateMemoryUsage() >= options_.buffer_size_bytes) {
     buffer_entries_.store(mem->num_entries(), std::memory_order_relaxed);
   }
   counters_.flushes.fetch_add(1, std::memory_order_relaxed);
 
+  // Under leveling the flush merges with the Level-1 run in one pass
+  // (paper Fig. 3); otherwise it lands at Level 1 as a new run and the
+  // picker takes it from there.
+  CompactionStep step;
+  step.mem = std::move(mem);
+  if (options_.merge_policy == MergePolicy::kLeveling) {
+    step.inputs = current_.RunsAt(1);
+  }
+
   FlushJobInfo info;
-  info.entries = mem->num_entries();
-  info.triggered_merge = options_.merge_policy == MergePolicy::kLeveling &&
-                         !current_.RunsAt(1).empty();
+  info.entries = step.mem->num_entries();
+  info.triggered_merge = !step.inputs.empty();
   if (HasObservers()) {
     if (options_.info_log != nullptr) {
       options_.info_log->Info("flush begin: %llu entries%s",
@@ -1903,7 +1909,7 @@ Status DB::FlushMemTable(std::shared_ptr<MemTable> mem, bool swap_active,
     NotifyListeners([&info](EventListener* l) { l->OnFlushBegin(info); });
   }
   OptionalTimer timer(metrics_ != nullptr || HasObservers());
-  Status s = FlushMemTableImpl(std::move(mem), swap_active, io_unlock);
+  Status s = RunCompactionStepLocked(step, io_unlock);
   info.micros = timer.ElapsedMicros();
   info.ok = s.ok();
   if (metrics_ != nullptr) {
@@ -1923,439 +1929,129 @@ Status DB::FlushMemTable(std::shared_ptr<MemTable> mem, bool swap_active,
   return s;
 }
 
-Status DB::FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
-                             bool io_unlock) {
-  if (options_.merge_policy == MergePolicy::kLeveling) {
-    // Flush & merge with the Level-1 run in one pass (paper Fig. 3).
-    VersionEdit edit;
-    const std::vector<RunPtr> level1 = current_.RunsAt(1);  // Copy.
-    for (const RunPtr& run : level1) {
-      edit.deleted_files.push_back(run->file_number);
+std::optional<DB::CompactionStep> DB::PickCompactionLocked() const {
+  const MergePolicy policy = options_.merge_policy;
+  // Tiering's run bound: a level merges when its T-th run arrives.
+  const size_t trigger = static_cast<size_t>(
+      std::max(2, static_cast<int>(std::llround(options_.size_ratio))));
+  const int deepest = current_.DeepestNonEmptyLevel();
+  auto leveled = [policy, deepest](int level) {
+    return policy == MergePolicy::kLeveling ||
+           (policy == MergePolicy::kLazyLeveling && level == deepest);
+  };
+  // Capacities are meaningless until B·P is known (they would all read 0).
+  const bool capacity_known =
+      buffer_entries_.load(std::memory_order_relaxed) > 0;
+
+  for (int level = 1; level <= current_.NumLevels(); level++) {
+    const std::vector<RunPtr>& runs = current_.RunsAt(level);
+    const std::vector<RunPtr>& next = current_.RunsAt(level + 1);
+    CompactionStep step;
+    step.input_level = level;
+    step.output_level = level + 1;
+    bool absorb_next = true;
+    if (runs.empty()) {
+      continue;
+    } else if (!leveled(level)) {
+      if (runs.size() < trigger) continue;
+      // A tiered l+1 keeps its runs; the merged run goes in front of them.
+      absorb_next = leveled(level + 1);
+    } else if (policy == MergePolicy::kLazyLeveling && runs.size() > 1) {
+      step.output_level = level;  // Collapse in place.
+      absorb_next = false;
+    } else if (!capacity_known ||
+               current_.EntriesAt(level) <= LevelCapacityEntries(level)) {
+      continue;
+    } else {
+      // Over capacity: the level moves down, every fragment with it.
+      step.trivial_move = next.empty();
     }
-    std::set<uint64_t> replaced(edit.deleted_files.begin(),
-                                edit.deleted_files.end());
-    uint64_t estimate = mem->num_entries();
-    for (const RunPtr& run : level1) estimate += run->num_entries;
-    std::vector<RunPtr> outs;
-    MONKEYDB_RETURN_IF_ERROR(BuildMergeOutputs(level1, mem, 1,
-                                               CanDropTombstones(1),
-                                               estimate, replaced, &outs,
-                                               io_unlock));
-    for (const RunPtr& out : outs) {
-      VersionEdit::AddedRun added;
-      added.level = 1;
-      added.file_number = out->file_number;
-      added.file_size = out->file_size;
-      added.num_entries = out->num_entries;
-      added.sequence = out->sequence;
-      added.smallest = out->smallest;
-      added.largest = out->largest;
-      edit.added.push_back(std::move(added));
+    step.inputs = runs;
+    if (absorb_next) {
+      step.inputs.insert(step.inputs.end(), next.begin(), next.end());
     }
-    // Apply to the in-memory version.
-    auto* levels = current_.mutable_levels();
-    current_.EnsureLevel(1);
-    (*levels)[0] = outs;
-    if (swap_active) {
-      AccumulateMemTableStats(*mem);
-      mem_ = std::make_shared<MemTable>(MemTableOptionsFromDb(options_));
-    }
-    return LogAndApply(edit);
+    return step;
+  }
+  return std::nullopt;
+}
+
+Status DB::RunCompactionStepLocked(const CompactionStep& step,
+                                   bool io_unlock) {
+  const int level = step.output_level;
+  current_.EnsureLevel(level);
+  VersionEdit edit;
+  std::set<uint64_t> replaced;
+  uint64_t estimate = step.mem != nullptr ? step.mem->num_entries() : 0;
+  for (const RunPtr& run : step.inputs) {
+    edit.deleted_files.push_back(run->file_number);
+    replaced.insert(run->file_number);
+    estimate += run->num_entries;
   }
 
-  // Tiering and lazy leveling: the flushed run lands at Level 1 as-is.
-  auto mem_iter = mem->NewIterator();
-  RunPtr out;
-  MONKEYDB_RETURN_IF_ERROR(BuildRun(
-      mem_iter.get(), 1,
-      CanDropTombstones(1) && current_.RunsAt(1).empty(),
-      mem->num_entries(), {}, &out, io_unlock));
-  if (swap_active) {
-    AccumulateMemTableStats(*mem);
+  // Reports merges; a flush reports through FlushMemTable and a trivial
+  // move is not a merge.
+  std::optional<CompactionScope> scope;
+  std::vector<RunPtr> outs;
+  if (step.trivial_move) {
+    // Metadata-only (keeps the existing filters, like LevelDB's
+    // non-overlapping move; see DESIGN.md).
+    outs = step.inputs;
+  } else {
+    if (step.mem == nullptr) {
+      CompactionJobInfo cinfo;
+      cinfo.input_level = step.input_level;
+      cinfo.output_level = level;
+      cinfo.input_runs = step.inputs.size();
+      cinfo.input_entries = estimate;
+      scope.emplace(this, cinfo);
+    }
+    // Tombstones may go only if no older run survives the step: none
+    // below the output level, and none left in place at it.
+    bool drop_tombstones = CanDropTombstones(level);
+    for (const RunPtr& run : current_.RunsAt(level)) {
+      if (replaced.count(run->file_number) == 0) drop_tombstones = false;
+    }
+    MONKEYDB_RETURN_IF_ERROR(BuildMergeOutputs(step.inputs, step.mem, level,
+                                               drop_tombstones, estimate,
+                                               replaced, &outs, io_unlock));
+  }
+
+  uint64_t out_entries = 0;
+  for (const RunPtr& out : outs) {
+    edit.added.push_back(AddedRunOf(level, *out));
+    out_entries += out->num_entries;
+  }
+  if (step.mem != nullptr && step.mem == mem_) {
+    AccumulateMemTableStats(*mem_);
     mem_ = std::make_shared<MemTable>(MemTableOptionsFromDb(options_));
-    // With a run to install, LogAndApply publishes once it is in current_:
-    // a view with the empty memtable but without the run would hide
-    // acknowledged keys from lock-free readers during the manifest append.
-    if (out == nullptr) PublishViewLocked();
   }
-  if (out != nullptr) {
-    current_.EnsureLevel(1);
-    auto& level1 = (*current_.mutable_levels())[0];
-    level1.insert(level1.begin(), out);
-    VersionEdit edit;
-    VersionEdit::AddedRun added;
-    added.level = 1;
-    added.file_number = out->file_number;
-    added.file_size = out->file_size;
-    added.num_entries = out->num_entries;
-    added.sequence = out->sequence;
-    added.smallest = out->smallest;
-    added.largest = out->largest;
-    edit.added.push_back(std::move(added));
-    MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
+  // The inputs leave their levels; the outputs go in front of the output
+  // level's surviving (older) runs. LogAndApply publishes the view only
+  // now, so no reader sees the fresh memtable without the flushed run.
+  for (std::vector<RunPtr>& runs : *current_.mutable_levels()) {
+    runs.erase(std::remove_if(runs.begin(), runs.end(),
+                              [&replaced](const RunPtr& r) {
+                                return replaced.count(r->file_number) > 0;
+                              }),
+               runs.end());
   }
+  std::vector<RunPtr>& target = (*current_.mutable_levels())[level - 1];
+  target.insert(target.begin(), outs.begin(), outs.end());
+  MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
+  if (scope.has_value()) scope->Completed(out_entries, outs.size());
   return Status::OK();
 }
 
 Status DB::Cascade(bool io_unlock) {
-  switch (options_.merge_policy) {
-    case MergePolicy::kLeveling:
-      return CascadeLeveling(io_unlock);
-    case MergePolicy::kTiering:
-      return CascadeTiering(io_unlock);
-    case MergePolicy::kLazyLeveling:
-      return CascadeLazyLeveling(io_unlock);
-  }
-  return Status::OK();
-}
-
-bool DB::CascadePendingLocked() const {
-  // Before the first flush of this incarnation buffer_entries_ is 0, every
-  // level capacity reads as 0, and "pending" would be vacuously true
-  // forever; cascades are only meaningful once B·P is known.
-  if (buffer_entries_.load(std::memory_order_relaxed) == 0) return false;
-  const int trigger =
-      std::max(2, static_cast<int>(std::llround(options_.size_ratio)));
-  switch (options_.merge_policy) {
-    case MergePolicy::kLeveling:
-      for (int level = 1; level <= current_.NumLevels(); level++) {
-        const uint64_t entries = current_.EntriesAt(level);
-        if (entries > 0 && entries > LevelCapacityEntries(level)) return true;
-      }
-      return false;
-    case MergePolicy::kTiering:
-      for (int level = 1; level <= current_.NumLevels(); level++) {
-        if (static_cast<int>(current_.RunsAt(level).size()) >= trigger) {
-          return true;
-        }
-      }
-      return false;
-    case MergePolicy::kLazyLeveling: {
-      const int deepest = current_.DeepestNonEmptyLevel();
-      for (int level = 1; level <= current_.NumLevels(); level++) {
-        const std::vector<RunPtr>& runs = current_.RunsAt(level);
-        if (runs.empty()) continue;
-        if (level == deepest) {
-          if (runs.size() > 1) return true;
-          if (runs[0]->num_entries > LevelCapacityEntries(level)) return true;
-        } else if (static_cast<int>(runs.size()) >= trigger) {
-          return true;
-        }
-      }
-      return false;
-    }
-  }
-  return false;
-}
-
-Status DB::CascadeLeveling(bool io_unlock) {
-  // When a level exceeds its capacity, its run(s) move to the next level
-  // (merging with the resident run, if any). Every level is scanned, not
-  // just a chain from Level 1: a background worker that abandoned a
-  // cascade mid-way to prioritize a flush resumes with the violation at an
-  // arbitrary depth. With the invariant intact (synchronous mode) the scan
-  // performs exactly the seed's chain of merges.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int level = 1; level <= current_.NumLevels(); level++) {
-      // Flush priority: yield to the worker loop whenever a frozen
-      // memtable is waiting; CascadePendingLocked brings us back.
-      if (io_unlock && !imm_.empty()) return Status::OK();
-      const std::vector<RunPtr> runs = current_.RunsAt(level);  // Copy.
-      if (runs.empty()) continue;
-      if (current_.EntriesAt(level) <= LevelCapacityEntries(level)) continue;
-
-      const int next_level = level + 1;
-      current_.EnsureLevel(next_level);
-      const std::vector<RunPtr> next_runs =
-          current_.RunsAt(next_level);  // Copy.
-      VersionEdit edit;
-
-      if (next_runs.empty()) {
-        // Trivial move: metadata-only (keeps the existing filters, like
-        // LevelDB's non-overlapping move; see DESIGN.md). Moves every
-        // fragment of the level together.
-        auto* levels = current_.mutable_levels();
-        for (const RunPtr& run : runs) {
-          edit.deleted_files.push_back(run->file_number);
-          VersionEdit::AddedRun added;
-          added.level = next_level;
-          added.file_number = run->file_number;
-          added.file_size = run->file_size;
-          added.num_entries = run->num_entries;
-          added.sequence = run->sequence;
-          added.smallest = run->smallest;
-          added.largest = run->largest;
-          edit.added.push_back(std::move(added));
-          (*levels)[next_level - 1].push_back(run);
-        }
-        (*levels)[level - 1].clear();
-        MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
-      } else {
-        std::vector<RunPtr> inputs = runs;
-        inputs.insert(inputs.end(), next_runs.begin(), next_runs.end());
-        uint64_t estimate = 0;
-        for (const RunPtr& run : inputs) {
-          edit.deleted_files.push_back(run->file_number);
-          estimate += run->num_entries;
-        }
-        CompactionJobInfo cinfo;
-        cinfo.input_level = level;
-        cinfo.output_level = next_level;
-        cinfo.input_runs = inputs.size();
-        cinfo.input_entries = estimate;
-        CompactionScope scope(this, cinfo);
-        std::set<uint64_t> replaced(edit.deleted_files.begin(),
-                                    edit.deleted_files.end());
-        std::vector<RunPtr> outs;
-        MONKEYDB_RETURN_IF_ERROR(BuildMergeOutputs(
-            inputs, nullptr, next_level, CanDropTombstones(next_level),
-            estimate, replaced, &outs, io_unlock));
-        uint64_t out_entries = 0;
-        for (const RunPtr& out : outs) {
-          VersionEdit::AddedRun added;
-          added.level = next_level;
-          added.file_number = out->file_number;
-          added.file_size = out->file_size;
-          added.num_entries = out->num_entries;
-          added.sequence = out->sequence;
-          added.smallest = out->smallest;
-          added.largest = out->largest;
-          edit.added.push_back(std::move(added));
-          out_entries += out->num_entries;
-        }
-        auto* levels = current_.mutable_levels();
-        (*levels)[level - 1].clear();
-        (*levels)[next_level - 1] = outs;
-        MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
-        scope.Completed(out_entries, outs.size());
-      }
-      changed = true;
-      break;  // Restart the scan: the receiving level may now overflow.
-    }
-  }
-  return Status::OK();
-}
-
-Status DB::CascadeTiering(bool io_unlock) {
-  // When the T-th run arrives at a level, merge all of its runs into one
-  // run at the next level (paper Fig. 3).
-  const int trigger =
-      std::max(2, static_cast<int>(std::llround(options_.size_ratio)));
-  int level = 1;
-  while (level <= current_.NumLevels()) {
-    // Flush priority: yield between merge steps when a frozen memtable is
-    // waiting; CascadePendingLocked re-dispatches the cascade afterwards.
+  while (true) {
+    // Flush priority: yield between steps whenever a frozen memtable is
+    // waiting; BackgroundMain comes back while PickCompactionLocked finds
+    // work.
     if (io_unlock && !imm_.empty()) return Status::OK();
-    const std::vector<RunPtr> runs = current_.RunsAt(level);  // Copy.
-    if (static_cast<int>(runs.size()) < trigger) {
-      level++;
-      continue;
-    }
-    const int next_level = level + 1;
-    current_.EnsureLevel(next_level);
-
-    VersionEdit edit;
-    std::vector<std::unique_ptr<Iterator>> children;
-    for (const RunPtr& run : runs) {
-      children.push_back(run->table->NewIterator());
-      edit.deleted_files.push_back(run->file_number);
-    }
-    std::set<uint64_t> replaced(edit.deleted_files.begin(),
-                                edit.deleted_files.end());
-    uint64_t estimate = 0;
-    for (const RunPtr& run : runs) estimate += run->num_entries;
-    CompactionJobInfo cinfo;
-    cinfo.input_level = level;
-    cinfo.output_level = next_level;
-    cinfo.input_runs = runs.size();
-    cinfo.input_entries = estimate;
-    CompactionScope scope(this, cinfo);
-    auto merged = NewMergingIterator(std::move(children));
-    RunPtr out;
-    const bool drop = CanDropTombstones(next_level) &&
-                      current_.RunsAt(next_level).empty();
-    MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), next_level, drop,
-                                      estimate, replaced, &out, io_unlock));
-    if (out != nullptr) {
-      VersionEdit::AddedRun added;
-      added.level = next_level;
-      added.file_number = out->file_number;
-      added.file_size = out->file_size;
-      added.num_entries = out->num_entries;
-      added.sequence = out->sequence;
-      added.smallest = out->smallest;
-      added.largest = out->largest;
-      edit.added.push_back(std::move(added));
-    }
-    auto* levels = current_.mutable_levels();
-    (*levels)[level - 1].clear();
-    if (out != nullptr) {
-      auto& next_runs = (*levels)[next_level - 1];
-      next_runs.insert(next_runs.begin(), out);
-    }
-    MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
-    scope.Completed(out != nullptr ? out->num_entries : 0, 1);
-    level = next_level;  // The push may have filled the next level.
+    const std::optional<CompactionStep> step = PickCompactionLocked();
+    if (!step.has_value()) return Status::OK();
+    MONKEYDB_RETURN_IF_ERROR(RunCompactionStepLocked(*step, io_unlock));
   }
-  return Status::OK();
-}
-
-// Lazy leveling (extension; see MergePolicy::kLazyLeveling): runs behave
-// as in tiering at levels 1..L-1 and as in leveling at the largest level.
-// Implemented as a fixpoint over three local rules:
-//  (1) a non-largest level reaching T runs merges them together with
-//      whatever sits at the next level into a single run there;
-//  (2) the largest level always collapses to a single run;
-//  (3) when the largest level's run outgrows its capacity it moves down,
-//      founding a new largest level.
-Status DB::CascadeLazyLeveling(bool io_unlock) {
-  const int trigger =
-      std::max(2, static_cast<int>(std::llround(options_.size_ratio)));
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Flush priority: yield between merge steps when a frozen memtable is
-    // waiting; CascadePendingLocked re-dispatches the cascade afterwards.
-    if (io_unlock && !imm_.empty()) return Status::OK();
-    const int deepest = current_.DeepestNonEmptyLevel();
-    for (int level = 1; level <= current_.NumLevels(); level++) {
-      const std::vector<RunPtr> runs = current_.RunsAt(level);  // Copy.
-      if (runs.empty()) continue;
-
-      if (level == deepest) {
-        if (runs.size() > 1) {
-          // Rule (2): collapse the largest level into one run.
-          VersionEdit edit;
-          std::vector<std::unique_ptr<Iterator>> children;
-          for (const RunPtr& run : runs) {
-            children.push_back(run->table->NewIterator());
-            edit.deleted_files.push_back(run->file_number);
-          }
-          std::set<uint64_t> replaced(edit.deleted_files.begin(),
-                                      edit.deleted_files.end());
-          uint64_t estimate = 0;
-          for (const RunPtr& run : runs) estimate += run->num_entries;
-          CompactionJobInfo cinfo;
-          cinfo.input_level = level;
-          cinfo.output_level = level;
-          cinfo.input_runs = runs.size();
-          cinfo.input_entries = estimate;
-          CompactionScope scope(this, cinfo);
-          auto merged = NewMergingIterator(std::move(children));
-          RunPtr out;
-          MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), level,
-                                            CanDropTombstones(level),
-                                            estimate, replaced, &out,
-                                            io_unlock));
-          auto* levels = current_.mutable_levels();
-          (*levels)[level - 1].clear();
-          if (out != nullptr) {
-            (*levels)[level - 1].push_back(out);
-            VersionEdit::AddedRun added;
-            added.level = level;
-            added.file_number = out->file_number;
-            added.file_size = out->file_size;
-            added.num_entries = out->num_entries;
-            added.sequence = out->sequence;
-            added.smallest = out->smallest;
-            added.largest = out->largest;
-            edit.added.push_back(std::move(added));
-          }
-          MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
-          scope.Completed(out != nullptr ? out->num_entries : 0, 1);
-          changed = true;
-          break;
-        }
-        if (runs[0]->num_entries > LevelCapacityEntries(level)) {
-          // Rule (3): the largest level overflows; trivial-move its run
-          // down to found a new largest level.
-          const RunPtr run = runs[0];
-          const int next_level = level + 1;
-          current_.EnsureLevel(next_level);
-          VersionEdit edit;
-          edit.deleted_files.push_back(run->file_number);
-          VersionEdit::AddedRun added;
-          added.level = next_level;
-          added.file_number = run->file_number;
-          added.file_size = run->file_size;
-          added.num_entries = run->num_entries;
-          added.sequence = run->sequence;
-          added.smallest = run->smallest;
-          added.largest = run->largest;
-          edit.added.push_back(std::move(added));
-          auto* levels = current_.mutable_levels();
-          (*levels)[level - 1].clear();
-          (*levels)[next_level - 1].push_back(run);
-          MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
-          changed = true;
-          break;
-        }
-        continue;
-      }
-
-      if (static_cast<int>(runs.size()) >= trigger) {
-        // Rule (1): merge this level's runs into the next level. Only the
-        // largest level absorbs its resident run (leveled landing);
-        // intermediate levels receive the merged run as a new tiered run.
-        const int next_level = level + 1;
-        current_.EnsureLevel(next_level);
-        const bool absorb_next = (next_level == deepest);
-        VersionEdit edit;
-        std::vector<std::unique_ptr<Iterator>> children;
-        uint64_t estimate = 0;
-        for (const RunPtr& run : runs) {
-          children.push_back(run->table->NewIterator());
-          edit.deleted_files.push_back(run->file_number);
-          estimate += run->num_entries;
-        }
-        if (absorb_next) {
-          for (const RunPtr& run : current_.RunsAt(next_level)) {
-            children.push_back(run->table->NewIterator());
-            edit.deleted_files.push_back(run->file_number);
-            estimate += run->num_entries;
-          }
-        }
-        std::set<uint64_t> replaced(edit.deleted_files.begin(),
-                                    edit.deleted_files.end());
-        CompactionJobInfo cinfo;
-        cinfo.input_level = level;
-        cinfo.output_level = next_level;
-        cinfo.input_runs = edit.deleted_files.size();
-        cinfo.input_entries = estimate;
-        CompactionScope scope(this, cinfo);
-        auto merged = NewMergingIterator(std::move(children));
-        RunPtr out;
-        const bool drop = CanDropTombstones(next_level) &&
-                          (absorb_next || current_.RunsAt(next_level).empty());
-        MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), next_level, drop,
-                                          estimate, replaced, &out,
-                                          io_unlock));
-        auto* levels = current_.mutable_levels();
-        (*levels)[level - 1].clear();
-        if (absorb_next) (*levels)[next_level - 1].clear();
-        if (out != nullptr) {
-          auto& next_runs = (*levels)[next_level - 1];
-          next_runs.insert(next_runs.begin(), out);
-          VersionEdit::AddedRun added;
-          added.level = next_level;
-          added.file_number = out->file_number;
-          added.file_size = out->file_size;
-          added.num_entries = out->num_entries;
-          added.sequence = out->sequence;
-          added.smallest = out->smallest;
-          added.largest = out->largest;
-          edit.added.push_back(std::move(added));
-        }
-        MONKEYDB_RETURN_IF_ERROR(LogAndApply(edit));
-        scope.Completed(out != nullptr ? out->num_entries : 0, 1);
-        changed = true;
-        break;
-      }
-    }
-  }
-  return Status::OK();
 }
 
 // --- Stats ---
@@ -3082,15 +2778,7 @@ Status DB::Checkpoint(const std::string& target_dir) {
                static_cast<unsigned long long>(run->file_number));
       MONKEYDB_RETURN_IF_ERROR(
           copy_file(name_ + name, target_dir + name));
-      VersionEdit::AddedRun added;
-      added.level = level;
-      added.file_number = run->file_number;
-      added.file_size = run->file_size;
-      added.num_entries = run->num_entries;
-      added.sequence = run->sequence;
-      added.smallest = run->smallest;
-      added.largest = run->largest;
-      snapshot.added.push_back(std::move(added));
+      snapshot.added.push_back(AddedRunOf(level, *run));
     }
   }
   snapshot.last_sequence = last_sequence_.load(std::memory_order_relaxed);

@@ -28,7 +28,7 @@
 //    fence-pointer boundaries into disjoint key ranges and merged in
 //    parallel by a thread pool, producing multiple disjoint output runs
 //    installed atomically as one version edit.
-// The engine supports both merge policies (leveling/tiering), any size
+// The engine supports leveling, tiering and lazy leveling, any size
 // ratio T >= 2, any buffer size, and pluggable Bloom-filter memory
 // allocation (uniform vs Monkey).
 
@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -394,22 +395,29 @@ class DB {
   // release and reacquire mu_.
   Status SwitchMemTable() REQUIRES(mu_);
 
-  // Flushes `mem` to Level 1 per the merge policy. Callers run Cascade()
-  // afterwards — separately, so the background worker can retire the frozen
-  // memtable from imm_ first and the cascades' flush-priority early-exit
-  // (yield when a frozen memtable is waiting) sees only *other* pending
-  // flushes. If swap_active, the active memtable is replaced with a fresh
-  // one once its Level-1 run is built (synchronous mode); background mode
-  // passes the frozen memtable and manages its queue entry itself. With
-  // io_unlock, mu_ is released around every run build (background mode) so
-  // writers and readers proceed during the I/O. mem is taken by value: the
-  // active-memtable caller passes mem_, which this function reassigns.
-  Status FlushMemTable(std::shared_ptr<MemTable> mem, bool swap_active,
-                       bool io_unlock) REQUIRES(mu_);
-  // The pre-observability flush body; FlushMemTable wraps it with the
-  // flush events, log lines, and the kFlushLatency histogram.
-  Status FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
-                           bool io_unlock) REQUIRES(mu_);
+  // One flush or merge: the unit the picker chooses and the step executor
+  // runs. `inputs` lists every run the step consumes, newest first: all of
+  // input_level's runs, then any of output_level's runs the merge absorbs.
+  // A flush (input_level 0) has `mem` as its newest input.
+  struct CompactionStep {
+    int input_level = 0;
+    int output_level = 1;
+    std::vector<RunPtr> inputs;
+    std::shared_ptr<MemTable> mem;
+    bool trivial_move = false;  // Relink `inputs` at output_level; no I/O.
+  };
+
+  // Flushes `mem` to Level 1: under leveling it merges with Level 1's runs
+  // (paper Fig. 3); otherwise it lands there as a new run. Callers run
+  // Cascade() afterwards — separately, so the background worker can retire
+  // the frozen memtable from imm_ first and the flush-priority yield sees
+  // only *other* pending flushes. Flushing the active memtable (mem ==
+  // mem_, synchronous mode) replaces it with a fresh one once its run is
+  // built. With io_unlock, mu_ is released around the run build
+  // (background mode) so writers and readers proceed during the I/O. The
+  // first flush of a full buffer fixes B·P for this incarnation.
+  Status FlushMemTable(std::shared_ptr<MemTable> mem, bool io_unlock)
+      REQUIRES(mu_);
 
   // RAII around one merge (defined in db.cc): bumps the merge counter,
   // fires OnCompactionBegin/Completed with timing, and records
@@ -421,23 +429,31 @@ class DB {
   // through all the I/O — synchronous mode.
   Status FlushActiveMemTableLocked() REQUIRES(mu_);
 
-  // The cascades restore every level's invariant (scanning all levels, not
-  // just a chain from Level 1 — a background worker may resume a cascade it
-  // abandoned earlier to prioritize a flush). With io_unlock they
-  // early-exit between merge steps whenever a frozen memtable is waiting;
-  // BackgroundMain re-dispatches via CascadePendingLocked.
-  Status CascadeLeveling(bool io_unlock) REQUIRES(mu_);
-  Status CascadeTiering(bool io_unlock) REQUIRES(mu_);
-  Status CascadeLazyLeveling(bool io_unlock) REQUIRES(mu_);
+  // The merge policy as one per-level rule, and the only code that reads
+  // it to decide a merge. Scans from Level 1 and returns the first step
+  // that restores a level's invariant, or nullopt at the fixpoint. A level
+  // is leveled under leveling, and at the largest level under lazy
+  // leveling; every other level is tiered.
+  //  - A leveled level over its capacity B·P·T^l moves to l+1: a trivial
+  //    move if l+1 is empty, else a merge absorbing l+1's runs. Skipped
+  //    until B·P is known.
+  //  - Lazy leveling: a leveled level holding several runs collapses in
+  //    place.
+  //  - A tiered level holding T runs merges them into one run at l+1,
+  //    absorbing l+1's runs only when l+1 is leveled.
+  std::optional<CompactionStep> PickCompactionLocked() const REQUIRES(mu_);
 
-  // Dispatches to the configured policy's cascade (released around run
-  // builds when io_unlock is set).
+  // Runs one step: the trivial move, or the merge through
+  // BuildMergeOutputs (mu_ released around the build with io_unlock). Then
+  // installs the outputs in front of output_level's surviving runs and
+  // logs the edit.
+  Status RunCompactionStepLocked(const CompactionStep& step, bool io_unlock)
+      REQUIRES(mu_);
+
+  // Runs picked steps until the fixpoint. With io_unlock it yields between
+  // steps whenever a frozen memtable is waiting (flushes take priority);
+  // BackgroundMain comes back while PickCompactionLocked finds work.
   Status Cascade(bool io_unlock) REQUIRES(mu_);
-
-  // True iff some level violates its merge-policy invariant, i.e. the
-  // cascade for the configured policy would do work. Must match the
-  // cascades' stop conditions exactly or the worker would spin (or stall).
-  bool CascadePendingLocked() const REQUIRES(mu_);
 
   // Captures the post-compaction tree geometry, resolves the FPR for the
   // output run, and allocates its file number.
@@ -569,7 +585,7 @@ class DB {
   uint64_t wal_number_ GUARDED_BY(mu_) = 0;
   // Files retired from every published view, awaiting unlink outside mu_.
   std::vector<std::string> obsolete_files_ GUARDED_BY(mu_);
-  std::atomic<uint64_t> buffer_entries_{0};  // B·P: set from first flush.
+  std::atomic<uint64_t> buffer_entries_{0};  // B·P: set by a full flush.
 
   // Master tree state, mutated only under mu_ by the thread performing
   // structural work (in background mode, only the worker or a drained
