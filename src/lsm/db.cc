@@ -95,11 +95,15 @@ VersionEdit::AddedRun AddedRunOf(int level, const RunMetadata& run) {
 // Windowed (ring-of-epochs) views advanced once per DumpMetrics scrape;
 // the fpr window tracks the three per-level probe counters the measured-FPR
 // gauges are derived from, laid out [runs_probed | filter_negatives |
-// false_positives] x kMaxLevels.
+// false_positives] x kMaxLevels. The get-latency window exists only with
+// metrics on: nothing would ever feed it otherwise.
 struct DB::WindowState {
-  WindowState() : fpr(3 * Counters::kMaxLevels) {}
+  explicit WindowState(bool with_get_latency)
+      : fpr(3 * Counters::kMaxLevels) {
+    if (with_get_latency) get_latency.emplace();
+  }
   EpochWindow fpr;
-  WindowedHistogram get_latency;
+  std::optional<WindowedHistogram> get_latency;
 };
 
 DB::DB(const DbOptions& options, std::string name)
@@ -1083,13 +1087,11 @@ Status DB::CompactAll() {
   cinfo.input_entries = current_.TotalEntries();
   CompactionScope scope(this, cinfo);
 
-  std::set<uint64_t> replaced(edit.deleted_files.begin(),
-                              edit.deleted_files.end());
   auto merged = NewMergingIterator(std::move(children));
   RunPtr out;
   MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), target,
                                     /*drop_tombstones=*/true,
-                                    current_.TotalEntries(), replaced, &out,
+                                    current_.TotalEntries(), &out,
                                     /*io_unlock=*/false));
   scope.Completed(out != nullptr ? out->num_entries : 0, 1);
   if (out != nullptr) {
@@ -1530,12 +1532,11 @@ bool DB::CanDropTombstones(int output_level) const {
   return true;
 }
 
-DB::CompactionJob DB::PrepareJobLocked(
-    int target_level, bool drop_tombstones, uint64_t estimated_entries,
-    const std::set<uint64_t>& replaced_files) {
+DB::CompactionJob DB::PrepareJobLocked(int target_level,
+                                       bool drop_tombstones,
+                                       uint64_t estimated_entries) {
   // Size the filter for this run via the allocation policy, handing it the
-  // exact post-compaction geometry (each surviving run's entry count plus
-  // this run's estimate at the front of its target level).
+  // tree's capacity geometry.
   const FprAllocationPolicy* policy = options_.fpr_policy != nullptr
                                           ? options_.fpr_policy.get()
                                           : DefaultFprPolicy();
@@ -1555,24 +1556,6 @@ DB::CompactionJob DB::PrepareJobLocked(
   shape.num_levels = std::max(current_.DeepestNonEmptyLevel(), target_level);
   shape.merge_policy = options_.merge_policy;
   shape.bits_per_entry_budget = options_.bits_per_entry;
-  shape.run_entries.resize(
-      std::max(current_.NumLevels(), target_level));
-  shape.run_filter_bits.resize(shape.run_entries.size());
-  for (int level = 1; level <= current_.NumLevels(); level++) {
-    for (const RunPtr& run : current_.RunsAt(level)) {
-      if (replaced_files.count(run->file_number) > 0) continue;
-      shape.run_entries[level - 1].push_back(run->num_entries);
-      shape.run_filter_bits[level - 1].push_back(
-          run->table != nullptr
-              ? static_cast<double>(run->table->filter_size_bits())
-              : 0.0);
-    }
-  }
-  auto& target_runs = shape.run_entries[target_level - 1];
-  target_runs.insert(target_runs.begin(), std::max<uint64_t>(
-                                              estimated_entries, 1));
-  auto& target_bits = shape.run_filter_bits[target_level - 1];
-  target_bits.insert(target_bits.begin(), -1.0);
 
   CompactionJob job;
   job.target_level = target_level;
@@ -1694,13 +1677,11 @@ Status DB::BuildRunFromJob(Iterator* iter, const CompactionJob& job,
 }
 
 Status DB::BuildRun(Iterator* iter, int target_level, bool drop_tombstones,
-                    uint64_t estimated_entries,
-                    const std::set<uint64_t>& replaced_files, RunPtr* out,
+                    uint64_t estimated_entries, RunPtr* out,
                     bool io_unlock) {
   out->reset();
-  const CompactionJob job = PrepareJobLocked(target_level, drop_tombstones,
-                                             estimated_entries,
-                                             replaced_files);
+  const CompactionJob job =
+      PrepareJobLocked(target_level, drop_tombstones, estimated_entries);
   // Background mode (io_unlock): all the I/O happens with mu_ released, so
   // writers and readers proceed. The tree itself stays stable — only this
   // worker makes structural changes, which is the protocol that covers the
@@ -1713,7 +1694,6 @@ Status DB::BuildMergeOutputs(const std::vector<RunPtr>& inputs,
                              const std::shared_ptr<MemTable>& mem,
                              int target_level, bool drop_tombstones,
                              uint64_t estimated_entries,
-                             const std::set<uint64_t>& replaced_files,
                              std::vector<RunPtr>* outputs,
                              bool io_unlock) {
   auto make_iter = [&]() {
@@ -1766,7 +1746,7 @@ Status DB::BuildMergeOutputs(const std::vector<RunPtr>& inputs,
     RunPtr out;
     MONKEYDB_RETURN_IF_ERROR(BuildRun(merged.get(), target_level,
                                       drop_tombstones, estimated_entries,
-                                      replaced_files, &out, io_unlock));
+                                      &out, io_unlock));
     if (out != nullptr) outputs->push_back(std::move(out));
     return Status::OK();
   }
@@ -1777,8 +1757,8 @@ Status DB::BuildMergeOutputs(const std::vector<RunPtr>& inputs,
   // (user_key, kMaxSequenceNumber, kValueTypeForSeek), which sorts before
   // every real version of that user key: no key's versions straddle a
   // fragment, so a lookup probing one fragment sees all of them.
-  const CompactionJob base = PrepareJobLocked(
-      target_level, drop_tombstones, estimated_entries, replaced_files);
+  const CompactionJob base =
+      PrepareJobLocked(target_level, drop_tombstones, estimated_entries);
   const int parts = static_cast<int>(boundaries.size()) + 1;
   std::vector<CompactionJob> jobs(parts, base);
   for (int i = 0; i < parts; i++) {
@@ -2013,7 +1993,7 @@ Status DB::RunCompactionStepLocked(const CompactionStep& step,
     }
     MONKEYDB_RETURN_IF_ERROR(BuildMergeOutputs(step.inputs, step.mem, level,
                                                drop_tombstones, estimate,
-                                               replaced, &outs, io_unlock));
+                                               &outs, io_unlock));
   }
 
   uint64_t out_entries = 0;
@@ -2411,7 +2391,9 @@ std::string DB::DumpMetrics(MetricsFormat format) const {
       metrics_->MergeHistogram(Hist::kGetLatency, &merged);
     }
     MutexLock window_lock(window_mu_);
-    if (window_ == nullptr) window_ = std::make_unique<WindowState>();
+    if (window_ == nullptr) {
+      window_ = std::make_unique<WindowState>(metrics_ != nullptr);
+    }
     window_->fpr.Advance(now_secs, cum);
     std::vector<uint64_t> delta;
     if (window_->fpr.Delta(kWindowSecs, &delta, &fpr_window_secs)) {
@@ -2424,10 +2406,10 @@ std::string DB::DumpMetrics(MetricsFormat format) const {
         }
       }
     }
-    if (metrics_ != nullptr) {
-      window_->get_latency.Advance(now_secs, merged);
+    if (window_->get_latency.has_value()) {
+      window_->get_latency->Advance(now_secs, merged);
       have_get_latency_1m =
-          window_->get_latency.SnapshotWindow(kWindowSecs, &get_latency_1m);
+          window_->get_latency->SnapshotWindow(kWindowSecs, &get_latency_1m);
     }
   }
 

@@ -455,12 +455,10 @@ class DB {
   // BackgroundMain comes back while PickCompactionLocked finds work.
   Status Cascade(bool io_unlock) REQUIRES(mu_);
 
-  // Captures the post-compaction tree geometry, resolves the FPR for the
-  // output run, and allocates its file number.
+  // Captures the tree geometry, resolves the FPR for the output run, and
+  // allocates its file number.
   CompactionJob PrepareJobLocked(int target_level, bool drop_tombstones,
-                                 uint64_t estimated_entries,
-                                 const std::set<uint64_t>& replaced_files)
-      REQUIRES(mu_);
+                                 uint64_t estimated_entries) REQUIRES(mu_);
 
   // Builds a new on-disk run from iter (which yields internal keys in
   // order) according to job. Touches no mu_-guarded state: callers may
@@ -469,13 +467,10 @@ class DB {
                          RunPtr* out);
 
   // PrepareJobLocked + BuildRunFromJob. estimated_entries is an upper
-  // bound on the output size and replaced_files lists the runs this
-  // compaction consumes; both feed the FPR policy's view of the
-  // post-compaction tree geometry. With io_unlock, mu_ is released during
-  // the build.
+  // bound on the output size; it sizes the filter's hash buffer. With
+  // io_unlock, mu_ is released during the build.
   Status BuildRun(Iterator* iter, int target_level, bool drop_tombstones,
-                  uint64_t estimated_entries,
-                  const std::set<uint64_t>& replaced_files, RunPtr* out,
+                  uint64_t estimated_entries, RunPtr* out,
                   bool io_unlock) REQUIRES(mu_);
 
   // Merges `inputs` (plus `mem`, when non-null) into the target level,
@@ -492,7 +487,6 @@ class DB {
                            const std::shared_ptr<MemTable>& mem,
                            int target_level, bool drop_tombstones,
                            uint64_t estimated_entries,
-                           const std::set<uint64_t>& replaced_files,
                            std::vector<RunPtr>* outputs,
                            bool io_unlock) REQUIRES(mu_);
 
@@ -688,8 +682,9 @@ class DB {
   // per-level {runs_probed, filter_negatives, false_positives} deltas feed
   // the monkey_measured_fpr_1m{level} gauges, and a windowed get-latency
   // histogram rides along when metrics are enabled. Scrape-driven: the
-  // request path never touches them. Guarded by window_mu_ (scrapes can
-  // race each other; nothing else contends).
+  // request path never touches them, and each ring grows one epoch per
+  // scrape. Guarded by window_mu_ (scrapes can race each other; nothing
+  // else contends).
   struct WindowState;
   mutable Mutex window_mu_;
   mutable std::unique_ptr<WindowState> window_ GUARDED_BY(window_mu_);

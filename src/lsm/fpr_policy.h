@@ -34,19 +34,6 @@ struct LsmShape {
   MergePolicy merge_policy = MergePolicy::kLeveling;
   // Overall filter budget expressed as bits per entry (M_filters / N).
   double bits_per_entry_budget = 10.0;
-
-  // Optional exact geometry: entries of every run as the tree will look
-  // *after* the pending compaction, per level (index 0 = Level 1). The run
-  // being built is the FIRST element of its target level. When present,
-  // allocation policies may optimize over the real run sizes (the paper's
-  // Appendix C) instead of the idealized geometric profile.
-  std::vector<std::vector<uint64_t>> run_entries;
-
-  // Parallel to run_entries: the bits already committed to each surviving
-  // run's filter (-1 for the run being built). Lets a policy respect the
-  // overall budget exactly even though older filters are only resized when
-  // their runs are rewritten.
-  std::vector<std::vector<double>> run_filter_bits;
 };
 
 class FprAllocationPolicy {

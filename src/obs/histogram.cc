@@ -72,63 +72,74 @@ HistogramData HistogramMerger::Snapshot() const {
   return SnapshotFromBuckets(buckets_, count_, sum_, max_);
 }
 
+// --- Epoch rings -----------------------------------------------------------
+
+namespace {
+
+// The slot Advance fills at `now_secs`: the newest epoch again on a
+// same-second scrape burst (so a burst cannot eat the ring), else a new
+// epoch appended while the ring is below max_epochs, else the oldest one.
+template <typename Epoch>
+Epoch* AdvanceSlot(std::vector<Epoch>* ring, size_t* head, size_t max_epochs,
+                   uint64_t now_secs) {
+  if (!ring->empty()) {
+    Epoch& newest = (*ring)[(*head + ring->size() - 1) % ring->size()];
+    if (newest.ts_secs == now_secs) return &newest;
+  }
+  Epoch* e = ring->size() < max_epochs ? &ring->emplace_back()
+                                       : &(*ring)[*head];
+  *head = (*head + 1) % max_epochs;
+  e->ts_secs = now_secs;
+  return e;
+}
+
+// Newest epoch, and the oldest retained epoch no more than `last_n_secs`
+// older, falling back to the second-newest so the delta is never empty.
+// False until two epochs exist.
+template <typename Epoch>
+bool Bracket(const std::vector<Epoch>& ring, size_t head,
+             uint64_t last_n_secs, const Epoch** oldest,
+             const Epoch** newest) {
+  const size_t n = ring.size();
+  if (n < 2) return false;
+  const Epoch& last = ring[(head + n - 1) % n];
+  size_t i = 0;  // Walks from the oldest retained epoch toward the newest.
+  while (i + 2 < n && last.ts_secs - ring[(head + i) % n].ts_secs >
+                          last_n_secs) {
+    ++i;
+  }
+  *oldest = &ring[(head + i) % n];
+  *newest = &last;
+  return true;
+}
+
+// Growth of a cumulative counter. Counters are monotone; guard anyway so a
+// reset between epochs cannot underflow.
+uint64_t Grown(uint64_t newer, uint64_t older) {
+  return newer >= older ? newer - older : newer;
+}
+
+}  // namespace
+
 // --- EpochWindow ------------------------------------------------------------
 
 EpochWindow::EpochWindow(size_t num_counters, size_t max_epochs)
-    : num_counters_(num_counters), ring_(std::max<size_t>(2, max_epochs)) {
-  for (auto& e : ring_) e.cum.resize(num_counters_, 0);
-}
+    : num_counters_(num_counters),
+      max_epochs_(std::max<size_t>(2, max_epochs)) {}
 
 void EpochWindow::Advance(uint64_t now_secs,
                           const std::vector<uint64_t>& cumulative) {
-  // Re-stamp the newest epoch on a same-second scrape burst instead of
-  // eating the whole ring.
-  if (size_ > 0) {
-    Epoch& newest = ring_[(head_ + ring_.size() - 1) % ring_.size()];
-    if (newest.ts_secs == now_secs) {
-      newest.cum = cumulative;
-      return;
-    }
-  }
-  Epoch& e = ring_[head_];
-  e.ts_secs = now_secs;
-  e.cum = cumulative;
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) ++size_;
-}
-
-bool EpochWindow::Bracket(uint64_t last_n_secs, const Epoch** oldest,
-                          const Epoch** newest) const {
-  if (size_ < 2) return false;
-  const Epoch& n = ring_[(head_ + ring_.size() - 1) % ring_.size()];
-  // Walk from oldest retained toward newest; pick the first epoch inside
-  // the window, falling back to the second-newest so the delta is never
-  // empty.
-  const Epoch* o = nullptr;
-  for (size_t i = 0; i + 1 < size_; ++i) {
-    const Epoch& cand =
-        ring_[(head_ + ring_.size() - size_ + i) % ring_.size()];
-    if (n.ts_secs - cand.ts_secs <= last_n_secs || i + 2 == size_) {
-      o = &cand;
-      break;
-    }
-  }
-  *oldest = o;
-  *newest = &n;
-  return true;
+  AdvanceSlot(&ring_, &head_, max_epochs_, now_secs)->cum = cumulative;
 }
 
 bool EpochWindow::Delta(uint64_t last_n_secs, std::vector<uint64_t>* delta,
                         uint64_t* span_secs) const {
   const Epoch* oldest = nullptr;
   const Epoch* newest = nullptr;
-  if (!Bracket(last_n_secs, &oldest, &newest)) return false;
+  if (!Bracket(ring_, head_, last_n_secs, &oldest, &newest)) return false;
   delta->assign(num_counters_, 0);
   for (size_t c = 0; c < num_counters_; ++c) {
-    // Counters are monotone; guard anyway so a reset can't underflow.
-    (*delta)[c] = newest->cum[c] >= oldest->cum[c]
-                      ? newest->cum[c] - oldest->cum[c]
-                      : newest->cum[c];
+    (*delta)[c] = Grown(newest->cum[c], oldest->cum[c]);
   }
   if (span_secs != nullptr) {
     *span_secs = newest->ts_secs - oldest->ts_secs;
@@ -139,20 +150,11 @@ bool EpochWindow::Delta(uint64_t last_n_secs, std::vector<uint64_t>* delta,
 // --- WindowedHistogram ------------------------------------------------------
 
 WindowedHistogram::WindowedHistogram(size_t max_epochs)
-    : ring_(std::max<size_t>(2, max_epochs)) {}
+    : max_epochs_(std::max<size_t>(2, max_epochs)) {}
 
 void WindowedHistogram::Advance(uint64_t now_secs,
                                 const HistogramMerger& cumulative) {
-  Epoch* e;
-  if (size_ > 0 &&
-      ring_[(head_ + ring_.size() - 1) % ring_.size()].ts_secs == now_secs) {
-    e = &ring_[(head_ + ring_.size() - 1) % ring_.size()];
-  } else {
-    e = &ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
-    if (size_ < ring_.size()) ++size_;
-  }
-  e->ts_secs = now_secs;
+  Epoch* e = AdvanceSlot(&ring_, &head_, max_epochs_, now_secs);
   for (int i = 0; i < Histogram::kNumBuckets; ++i) {
     e->buckets[i] = cumulative.bucket(i);
   }
@@ -161,42 +163,18 @@ void WindowedHistogram::Advance(uint64_t now_secs,
   e->max = cumulative.max();
 }
 
-bool WindowedHistogram::Bracket(uint64_t last_n_secs, const Epoch** oldest,
-                                const Epoch** newest) const {
-  if (size_ < 2) return false;
-  const Epoch& n = ring_[(head_ + ring_.size() - 1) % ring_.size()];
-  const Epoch* o = nullptr;
-  for (size_t i = 0; i + 1 < size_; ++i) {
-    const Epoch& cand =
-        ring_[(head_ + ring_.size() - size_ + i) % ring_.size()];
-    if (n.ts_secs - cand.ts_secs <= last_n_secs || i + 2 == size_) {
-      o = &cand;
-      break;
-    }
-  }
-  *oldest = o;
-  *newest = &n;
-  return true;
-}
-
 bool WindowedHistogram::SnapshotWindow(uint64_t last_n_secs,
                                        HistogramData* out,
                                        uint64_t* span_secs) const {
   const Epoch* oldest = nullptr;
   const Epoch* newest = nullptr;
-  if (!Bracket(last_n_secs, &oldest, &newest)) return false;
+  if (!Bracket(ring_, head_, last_n_secs, &oldest, &newest)) return false;
   uint64_t buckets[Histogram::kNumBuckets];
   for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-    buckets[i] = newest->buckets[i] >= oldest->buckets[i]
-                     ? newest->buckets[i] - oldest->buckets[i]
-                     : newest->buckets[i];
+    buckets[i] = Grown(newest->buckets[i], oldest->buckets[i]);
   }
-  const uint64_t count = newest->count >= oldest->count
-                             ? newest->count - oldest->count
-                             : newest->count;
-  const uint64_t sum =
-      newest->sum >= oldest->sum ? newest->sum - oldest->sum : newest->sum;
-  *out = SnapshotFromBuckets(buckets, count, sum, newest->max);
+  *out = SnapshotFromBuckets(buckets, Grown(newest->count, oldest->count),
+                             Grown(newest->sum, oldest->sum), newest->max);
   if (span_secs != nullptr) {
     *span_secs = newest->ts_secs - oldest->ts_secs;
   }

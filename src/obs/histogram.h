@@ -125,7 +125,9 @@ class HistogramMerger {
 // advances on each DumpMetrics() scrape).
 
 // Ring of timestamped cumulative counter vectors; Delta() reports how much
-// each counter grew over roughly the last N seconds.
+// each counter grew over roughly the last N seconds. The ring grows by one
+// epoch per Advance up to max_epochs and then wraps, so a window that is
+// never scraped holds no epochs at all.
 class EpochWindow {
  public:
   static constexpr size_t kDefaultEpochs = 64;
@@ -151,22 +153,18 @@ class EpochWindow {
     std::vector<uint64_t> cum;
   };
 
-  // Newest epoch, and the oldest retained epoch no more than
-  // `last_n_secs` older; false until two epochs exist.
-  bool Bracket(uint64_t last_n_secs, const Epoch** oldest,
-               const Epoch** newest) const;
-
   const size_t num_counters_;
+  const size_t max_epochs_;
   std::vector<Epoch> ring_;
-  size_t head_ = 0;  // Next slot to write.
-  size_t size_ = 0;  // Filled slots.
+  size_t head_ = 0;  // Next slot to write once the ring is full.
 };
 
 // Same epoch scheme over a full histogram: stores cumulative merged
 // buckets per epoch and reports percentile snapshots of the windowed
 // delta. The window's `max` is approximated by the cumulative max (a true
 // windowed max is not recoverable from cumulative counters); percentiles
-// come from the delta'd buckets and are exact to bucket resolution.
+// come from the delta'd buckets and are exact to bucket resolution. Grows
+// per Advance like EpochWindow.
 class WindowedHistogram {
  public:
   explicit WindowedHistogram(size_t max_epochs = EpochWindow::kDefaultEpochs);
@@ -184,12 +182,9 @@ class WindowedHistogram {
     uint64_t max = 0;
   };
 
-  bool Bracket(uint64_t last_n_secs, const Epoch** oldest,
-               const Epoch** newest) const;
-
+  const size_t max_epochs_;
   std::vector<Epoch> ring_;
   size_t head_ = 0;
-  size_t size_ = 0;
 };
 
 // Percentile snapshot of a raw folded-bucket array (shared by

@@ -53,8 +53,31 @@ const char* TickName(Tick t) {
   return "unknown";
 }
 
-MetricsRegistry::MetricsRegistry()
-    : shards_(new ShardData[kNumShards]) {}
+MetricsRegistry::~MetricsRegistry() {
+  for (std::atomic<ShardData*>& slot : shards_) {
+    delete slot.load(std::memory_order_acquire);
+  }
+}
+
+MetricsRegistry::ShardData* MetricsRegistry::InstallShard(uint32_t idx) {
+  auto* fresh = new ShardData();
+  ShardData* installed = nullptr;
+  if (shards_[idx].compare_exchange_strong(installed, fresh,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete fresh;  // Another thread striped onto idx installed first.
+  return installed;
+}
+
+int MetricsRegistry::MaterializedShards() const {
+  int installed = 0;
+  for (const std::atomic<ShardData*>& slot : shards_) {
+    if (slot.load(std::memory_order_acquire) != nullptr) ++installed;
+  }
+  return installed;
+}
 
 HistogramData MetricsRegistry::SnapshotHistogram(Hist h) const {
   HistogramMerger merger;
@@ -63,24 +86,30 @@ HistogramData MetricsRegistry::SnapshotHistogram(Hist h) const {
 }
 
 void MetricsRegistry::MergeHistogram(Hist h, HistogramMerger* merger) const {
-  for (int s = 0; s < kNumShards; ++s) {
-    merger->Add(shards_[s].hists[static_cast<int>(h)]);
+  for (const std::atomic<ShardData*>& slot : shards_) {
+    const ShardData* shard = slot.load(std::memory_order_acquire);
+    if (shard != nullptr) merger->Add(shard->hists[static_cast<int>(h)]);
   }
 }
 
 uint64_t MetricsRegistry::TickTotal(Tick t) const {
   uint64_t total = 0;
-  for (int s = 0; s < kNumShards; ++s) {
-    total += shards_[s].ticks[static_cast<int>(t)].load(
-        std::memory_order_relaxed);
+  for (const std::atomic<ShardData*>& slot : shards_) {
+    const ShardData* shard = slot.load(std::memory_order_acquire);
+    if (shard != nullptr) {
+      total += shard->ticks[static_cast<int>(t)].load(
+          std::memory_order_relaxed);
+    }
   }
   return total;
 }
 
 void MetricsRegistry::Reset() {
-  for (int s = 0; s < kNumShards; ++s) {
-    for (auto& h : shards_[s].hists) h.Reset();
-    for (auto& t : shards_[s].ticks) t.store(0, std::memory_order_relaxed);
+  for (std::atomic<ShardData*>& slot : shards_) {
+    ShardData* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    for (auto& h : shard->hists) h.Reset();
+    for (auto& t : shard->ticks) t.store(0, std::memory_order_relaxed);
   }
 }
 

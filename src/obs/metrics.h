@@ -1,18 +1,23 @@
 // MetricsRegistry: the engine-wide home for latency histograms, counters,
 // and gauges (RocksDB's Statistics, sized for this engine).
 //
-// Hot-path recording must not contend: the registry keeps kNumShards
-// cache-line-padded shards, each holding one Histogram per Hist enumerator
-// and one relaxed atomic per Counter enumerator. A thread picks its shard
-// once (round-robin thread_local assignment) and then records with plain
-// relaxed atomics — no locks, no false sharing between concurrent readers
-// and writers. Snapshot() folds all shards into per-metric totals.
+// Hot-path recording must not contend: the registry stripes threads over
+// kNumShards cache-line-padded shards, each holding one Histogram per Hist
+// enumerator and one relaxed atomic per Tick enumerator. A thread picks its
+// shard slot once (round-robin thread_local assignment) and then records
+// with plain relaxed atomics — no locks, no false sharing between
+// concurrent readers and writers. Snapshots fold all shards into
+// per-metric totals.
 //
-// The registry only exists when DbOptions::enable_metrics is true; every
-// call site holds a MetricsRegistry* that is null by default, and the
-// StopWatch helper does not even read the clock when the pointer is null,
-// so the disabled configuration stays byte-identical with pre-metrics
-// builds (ISSUE 5 acceptance criterion).
+// Memory is paid per recording thread, not per registry: a slot stays
+// null until the first Record/Tick1 from a thread striped onto it installs
+// its shard by CAS (~49 KiB each). A registry that one thread records into
+// holds one shard; one that nobody records into holds none.
+//
+// An engine registry only exists when DbOptions::enable_metrics is true;
+// every engine call site holds a MetricsRegistry* that is null by default,
+// and the StopWatch helper does not even read the clock when the pointer
+// is null.
 
 #ifndef MONKEYDB_OBS_METRICS_H_
 #define MONKEYDB_OBS_METRICS_H_
@@ -20,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -88,7 +92,8 @@ class MetricsRegistry {
  public:
   static constexpr int kNumShards = 16;
 
-  MetricsRegistry();
+  MetricsRegistry() = default;
+  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -106,9 +111,13 @@ class MetricsRegistry {
   void MergeHistogram(Hist h, HistogramMerger* merger) const;
   uint64_t TickTotal(Tick t) const;
 
-  // Zeroes every shard. Concurrent recorders may land increments on either
-  // side of the sweep; reset is a bench/test convenience, not a fence.
+  // Zeroes every installed shard. Concurrent recorders may land increments
+  // on either side of the sweep; reset is a bench/test convenience, not a
+  // fence. Installed shards stay installed.
   void Reset();
+
+  // Shards installed so far: at most min(recording threads, kNumShards).
+  int MaterializedShards() const;
 
  private:
   struct alignas(64) ShardData {
@@ -120,10 +129,15 @@ class MetricsRegistry {
     static std::atomic<uint32_t> next{0};
     thread_local const uint32_t idx =
         next.fetch_add(1, std::memory_order_relaxed) % kNumShards;
-    return shards_[idx];
+    ShardData* shard = shards_[idx].load(std::memory_order_acquire);
+    if (shard == nullptr) [[unlikely]] shard = InstallShard(idx);
+    return *shard;
   }
 
-  std::unique_ptr<ShardData[]> shards_;
+  // Installs slot idx's shard, or returns the one a racing thread won with.
+  ShardData* InstallShard(uint32_t idx);
+
+  std::atomic<ShardData*> shards_[kNumShards] = {};
 };
 
 // RAII latency recorder. Costs nothing (not even a clock read) when the

@@ -16,7 +16,17 @@ namespace monkeydb {
 namespace {
 // Per-tick read cap: a firehose client cannot starve its loop siblings.
 constexpr size_t kMaxReadPerTick = 1u << 20;
-constexpr size_t kReadChunk = 64u << 10;
+
+// A drained buffer whose capacity grew past this is released, so one large
+// value does not pin its high-water mark for the connection's lifetime.
+// Far above a deep pipeline's in-flight bytes, so those never churn.
+constexpr size_t kRetainedBufferBytes = 256u << 10;
+
+void ReleaseIfOversized(std::string* drained) {
+  if (drained->capacity() > kRetainedBufferBytes) {
+    std::string().swap(*drained);
+  }
+}
 }  // namespace
 
 Connection::Connection(int fd, EventLoop* loop, MonkeyServer* server)
@@ -34,17 +44,15 @@ const ServerOptions& Connection::opts() const { return server_->options(); }
 MetricsRegistry* Connection::metrics() const { return server_->metrics(); }
 
 bool Connection::OnReadable() {
+  char* const buf = loop_->recv_buffer();
   size_t read_this_tick = 0;
   while (read_this_tick < kMaxReadPerTick) {
-    const size_t old = in_.size();
-    in_.resize(old + kReadChunk);
-    const ssize_t n = ::recv(fd_, &in_[old], kReadChunk, 0);
+    const ssize_t n = ::recv(fd_, buf, EventLoop::kRecvBufferBytes, 0);
     if (n > 0) {
-      in_.resize(old + static_cast<size_t>(n));
+      in_.append(buf, static_cast<size_t>(n));
       read_this_tick += static_cast<size_t>(n);
       continue;
     }
-    in_.resize(old);
     if (n == 0) {
       peer_eof_ = true;
       break;
@@ -141,6 +149,7 @@ bool Connection::ProcessInput() {
     // Slices into in_ are dead now; drop the consumed prefix.
     in_.erase(0, in_pos_);
     in_pos_ = 0;
+    if (in_.empty()) ReleaseIfOversized(&in_);
     if (!FlushAndUpdate()) return false;
     if (in_pos_ >= in_.size()) break;
   }
@@ -183,6 +192,7 @@ bool Connection::FlushAndUpdate() {
   if (out_pos_ == out_.size()) {
     out_.clear();
     out_pos_ = 0;
+    ReleaseIfOversized(&out_);
   } else if (out_pos_ > (1u << 20)) {
     // Reclaim flushed bytes so a long-lived slow client does not hold a
     // buffer proportional to lifetime traffic.

@@ -14,7 +14,9 @@
 // connection stops reading (EPOLLIN dropped) — and therefore stops
 // parsing and executing — until the client drains below half the limit;
 // above the hard limit it is closed. A slow client can never pin more
-// than hard-limit bytes of replies.
+// than hard-limit bytes of replies, and a drained buffer that grew past
+// 256 KiB (one large value) is released rather than kept at its
+// high-water capacity.
 
 #ifndef MONKEYDB_SERVER_CONNECTION_H_
 #define MONKEYDB_SERVER_CONNECTION_H_
@@ -65,6 +67,8 @@ class Connection {
   bool closing() const { return close_after_flush_; }
 
   size_t OutputBacklog() const { return out_.size() - out_pos_; }
+  // Heap bytes the input and output buffers hold (their capacities).
+  size_t BufferCapacity() const { return in_.capacity() + out_.capacity(); }
   bool reads_paused() const { return reads_paused_; }
 
  private:

@@ -112,6 +112,13 @@ void EventLoop::UpdateEvents(int fd, uint32_t events) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 }
 
+char* EventLoop::recv_buffer() {
+  if (recv_buffer_ == nullptr) {
+    recv_buffer_ = std::make_unique_for_overwrite<char[]>(kRecvBufferBytes);
+  }
+  return recv_buffer_.get();
+}
+
 void EventLoop::AcceptNew() {
   while (true) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,

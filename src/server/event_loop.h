@@ -46,6 +46,13 @@ class EventLoop {
   // Re-arms epoll interest for a connection's fd (EPOLLIN/EPOLLOUT mask).
   void UpdateEvents(int fd, uint32_t events);
 
+  // The receive buffer every connection on this loop recv()s into before
+  // appending the bytes it got to its own input buffer. Allocated
+  // uninitialized on first use, so only the pages a recv writes become
+  // resident.
+  static constexpr size_t kRecvBufferBytes = 64u << 10;
+  char* recv_buffer();
+
   size_t live_connections() const {
     return live_.load(std::memory_order_relaxed);
   }
@@ -63,6 +70,7 @@ class EventLoop {
   std::atomic<bool> stop_{false};
   std::atomic<size_t> live_{0};
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
+  std::unique_ptr<char[]> recv_buffer_;  // Loop thread only.
 };
 
 }  // namespace monkeydb

@@ -812,7 +812,7 @@ void MonkeyServer::DoConfig(Connection* c, const ParsedCommand& cmd) {
 }
 
 void MonkeyServer::DoInfo(Connection* c) {
-  const std::string info = InfoText();
+  const std::string info = InfoText(c);
   resp::AppendBulk(c->out(), info);
 }
 
@@ -930,7 +930,7 @@ void MonkeyServer::DoTrace(Connection* c, const ParsedCommand& cmd) {
   resp::AppendBulk(out, dump);
 }
 
-std::string MonkeyServer::InfoText() const {
+std::string MonkeyServer::InfoText(const Connection* caller) const {
   std::string info;
   const EngineCalls calls = engine_calls();
   const uint64_t commands = commands_processed();
@@ -947,6 +947,10 @@ std::string MonkeyServer::InfoText() const {
   info += "connected_clients:" + U64(live_connections()) + "\r\n";
   info += "total_connections_received:" + U64(total_connections()) +
           "\r\n";
+  if (caller != nullptr) {
+    info += "client_buffer_capacity:" + U64(caller->BufferCapacity()) +
+            "\r\n";
+  }
   info += "# Stats\r\n";
   info += "total_commands_processed:" + U64(commands) + "\r\n";
   info += "engine_point_gets:" + U64(calls.point_gets) + "\r\n";

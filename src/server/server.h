@@ -94,8 +94,9 @@ class MonkeyServer {
   // Redis-style INFO text: server/clients/stats sections plus one
   // section per shard with engine stats, the arena backing tier, and the
   // io_uring substrate counters (DB::GetUringStats) when that backend is
-  // live.
-  std::string InfoText() const;
+  // live. A RESP INFO passes its connection, whose buffered capacity the
+  // Clients section then reports.
+  std::string InfoText(const Connection* caller = nullptr) const;
 
   // Prometheus exposition aggregated across shards: every shard's
   // DB::DumpMetrics(kPrometheus) merged under a shard="<i>" label (one

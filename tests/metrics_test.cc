@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -74,6 +75,162 @@ TEST(Histogram, MergeAcrossShards) {
   EXPECT_EQ(d.max, 1000u);
 }
 
+// --- Windowed (ring-of-epochs) views ---------------------------------------
+
+uint64_t WindowDelta(const EpochWindow& w, uint64_t last_n_secs,
+                     uint64_t* span_secs) {
+  std::vector<uint64_t> delta;
+  EXPECT_TRUE(w.Delta(last_n_secs, &delta, span_secs));
+  EXPECT_EQ(delta.size(), 1u);
+  return delta.empty() ? 0 : delta[0];
+}
+
+TEST(EpochWindow, SameSecondAdvanceRestampsTheNewestEpoch) {
+  EpochWindow w(1);
+  w.Advance(10, {1});
+  w.Advance(10, {5});  // Overwrites, so there is still one epoch.
+  std::vector<uint64_t> delta;
+  uint64_t span = 0;
+  EXPECT_FALSE(w.Delta(60, &delta, &span));
+  w.Advance(11, {7});
+  EXPECT_EQ(WindowDelta(w, 60, &span), 2u);  // 7 - 5, not 7 - 1.
+  EXPECT_EQ(span, 1u);
+}
+
+TEST(EpochWindow, BracketPicksTheOldestEpochInsideTheWindow) {
+  EpochWindow w(1);
+  w.Advance(0, {0});
+  w.Advance(10, {10});
+  w.Advance(20, {30});
+  w.Advance(30, {60});
+  uint64_t span = 0;
+  EXPECT_EQ(WindowDelta(w, 20, &span), 50u);  // Against t=10.
+  EXPECT_EQ(span, 20u);
+  EXPECT_EQ(WindowDelta(w, 1000, &span), 60u);  // Against t=0.
+  EXPECT_EQ(span, 30u);
+}
+
+TEST(EpochWindow, FallsBackToTheSecondNewestEpoch) {
+  EpochWindow w(1);
+  w.Advance(0, {0});
+  w.Advance(10, {10});
+  w.Advance(20, {30});
+  w.Advance(30, {60});
+  // No epoch is within 5s of the newest: the delta still covers one
+  // scrape interval rather than coming back empty.
+  uint64_t span = 0;
+  EXPECT_EQ(WindowDelta(w, 5, &span), 30u);  // Against t=20.
+  EXPECT_EQ(span, 10u);
+}
+
+TEST(EpochWindow, WraparoundKeepsTheNewestEpochs) {
+  EpochWindow w(1, /*max_epochs=*/4);
+  for (uint64_t t = 0; t < 10; t++) w.Advance(t, {t * t});
+  // Epochs 6..9 remain: the widest window reaches back to t=6 only.
+  uint64_t span = 0;
+  EXPECT_EQ(WindowDelta(w, 1000, &span), 81u - 36u);
+  EXPECT_EQ(span, 3u);
+  EXPECT_EQ(WindowDelta(w, 1, &span), 81u - 64u);
+  EXPECT_EQ(span, 1u);
+}
+
+TEST(EpochWindow, CounterGoingBackwardsDoesNotUnderflow) {
+  EpochWindow w(2);
+  w.Advance(0, {100, 5});
+  w.Advance(1, {30, 9});  // Counter 0 was reset between scrapes.
+  std::vector<uint64_t> delta;
+  uint64_t span = 0;
+  ASSERT_TRUE(w.Delta(60, &delta, &span));
+  ASSERT_EQ(delta.size(), 2u);
+  EXPECT_EQ(delta[0], 30u);  // The newest value, not 2^64 - 70.
+  EXPECT_EQ(delta[1], 4u);
+}
+
+// Cumulative merged view of `h`, the input WindowedHistogram::Advance takes.
+HistogramMerger Cumulative(const Histogram& h) {
+  HistogramMerger merger;
+  merger.Add(h);
+  return merger;
+}
+
+HistogramData WindowSnapshot(const WindowedHistogram& w,
+                             uint64_t last_n_secs, uint64_t* span_secs) {
+  HistogramData d;
+  EXPECT_TRUE(w.SnapshotWindow(last_n_secs, &d, span_secs));
+  return d;
+}
+
+TEST(WindowedHistogram, SameSecondAdvanceRestampsTheNewestEpoch) {
+  Histogram h;
+  WindowedHistogram w;
+  h.Record(1);
+  w.Advance(10, Cumulative(h));
+  h.Record(2);
+  w.Advance(10, Cumulative(h));  // Overwrites: still one epoch.
+  HistogramData d;
+  EXPECT_FALSE(w.SnapshotWindow(60, &d));
+  h.Record(100);
+  w.Advance(11, Cumulative(h));
+  uint64_t span = 0;
+  d = WindowSnapshot(w, 60, &span);
+  EXPECT_EQ(d.count, 1u);
+  EXPECT_EQ(d.sum, 100u);
+  EXPECT_EQ(span, 1u);
+}
+
+TEST(WindowedHistogram, BracketAndFallbackPickTheRightEpoch) {
+  Histogram h;
+  WindowedHistogram w;
+  for (uint64_t t = 0; t <= 30; t += 10) {
+    for (uint64_t i = 0; i <= t; i += 10) h.Record(t + 1);
+    w.Advance(t, Cumulative(h));
+  }
+  // Per epoch: t=0 adds 1 sample, t=10 adds 2, t=20 adds 3, t=30 adds 4.
+  uint64_t span = 0;
+  HistogramData d = WindowSnapshot(w, 20, &span);  // Against t=10.
+  EXPECT_EQ(d.count, 3u + 4u);
+  EXPECT_EQ(d.sum, 3u * 21u + 4u * 31u);
+  EXPECT_EQ(span, 20u);
+  d = WindowSnapshot(w, 1000, &span);  // Against t=0.
+  EXPECT_EQ(d.count, 2u + 3u + 4u);
+  EXPECT_EQ(span, 30u);
+  d = WindowSnapshot(w, 5, &span);  // Fallback: the second-newest, t=20.
+  EXPECT_EQ(d.count, 4u);
+  EXPECT_EQ(d.sum, 4u * 31u);
+  EXPECT_EQ(d.p50, 31.0);
+  EXPECT_EQ(span, 10u);
+}
+
+TEST(WindowedHistogram, WraparoundKeepsTheNewestEpochs) {
+  Histogram h;
+  WindowedHistogram w(/*max_epochs=*/3);
+  for (uint64_t t = 0; t < 8; t++) {
+    h.Record(t);
+    w.Advance(t, Cumulative(h));
+  }
+  // Epochs 5..7 remain: the widest window holds the samples of 6 and 7.
+  uint64_t span = 0;
+  const HistogramData d = WindowSnapshot(w, 1000, &span);
+  EXPECT_EQ(d.count, 2u);
+  EXPECT_EQ(d.sum, 6u + 7u);
+  EXPECT_EQ(span, 2u);
+}
+
+TEST(WindowedHistogram, CountGoingBackwardsDoesNotUnderflow) {
+  Histogram h;
+  WindowedHistogram w;
+  for (int i = 0; i < 10; i++) h.Record(8);
+  w.Advance(0, Cumulative(h));
+  h.Reset();  // The registry was reset between scrapes.
+  h.Record(3);
+  w.Advance(1, Cumulative(h));
+  uint64_t span = 0;
+  const HistogramData d = WindowSnapshot(w, 60, &span);
+  EXPECT_EQ(d.count, 1u);  // The newest count, not 2^64 - 9.
+  EXPECT_EQ(d.sum, 3u);
+  EXPECT_EQ(d.p50, 3.0);
+}
+
 TEST(MetricsRegistry, ConcurrentRecordingMergesExactly) {
   // Hammer one histogram and one tick from many threads; the snapshot must
   // account for every sample (the per-thread shards make the recording
@@ -119,6 +276,96 @@ TEST(MetricsRegistry, ResetZeroesEverything) {
   EXPECT_EQ(d.sum, 0u);
   EXPECT_EQ(d.max, 0u);
   EXPECT_EQ(registry.TickTotal(Tick::kLoggerRotations), 0u);
+}
+
+TEST(MetricsRegistry, FreshRegistryHoldsNoShard) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.MaterializedShards(), 0);
+  // Reading an empty registry installs nothing.
+  EXPECT_EQ(registry.SnapshotHistogram(Hist::kGetLatency).count, 0u);
+  EXPECT_EQ(registry.TickTotal(Tick::kServerCommands), 0u);
+  registry.Reset();
+  EXPECT_EQ(registry.MaterializedShards(), 0);
+}
+
+TEST(MetricsRegistry, RecordingThreadsInstallAtMostOneShardEach) {
+  MetricsRegistry registry;
+  registry.Record(Hist::kGetLatency, 1);
+  registry.Tick1(Tick::kServerCommands);
+  EXPECT_EQ(registry.MaterializedShards(), 1);
+  for (int k = 1; k <= 3; k++) {
+    std::thread([&registry] {
+      registry.Record(Hist::kWriteLatency, 2);
+      registry.Tick1(Tick::kServerCommands);
+    }).join();
+    EXPECT_LE(registry.MaterializedShards(), 1 + k);
+  }
+  EXPECT_EQ(registry.TickTotal(Tick::kServerCommands), 4u);
+  EXPECT_EQ(registry.SnapshotHistogram(Hist::kWriteLatency).count, 3u);
+}
+
+TEST(MetricsRegistry, RacingFirstRecordsYieldExactTotals) {
+  // 32 threads over 16 slots: pairs of threads race to install the same
+  // shard, and every thread's first Record lands while others install.
+  MetricsRegistry registry;
+  constexpr int kThreads = 32;
+  constexpr int kPerThread = 1000;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&registry, &start, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kPerThread; i++) {
+        registry.Record(Hist::kServerGetLatency, static_cast<uint64_t>(t));
+        registry.Tick1(Tick::kServerCommands);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_LE(registry.MaterializedShards(), MetricsRegistry::kNumShards);
+  const HistogramData d = registry.SnapshotHistogram(Hist::kServerGetLatency);
+  EXPECT_EQ(d.count, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(d.sum, static_cast<uint64_t>(kPerThread) * (kThreads - 1) *
+                       kThreads / 2);
+  EXPECT_EQ(d.max, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(registry.TickTotal(Tick::kServerCommands),
+            static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(MetricsRegistry, PartlyMaterializedRegistrySnapshotsAndResets) {
+  MetricsRegistry registry;
+  for (int t = 0; t < 2; t++) {
+    std::thread([&registry] {
+      for (uint64_t v = 1; v <= 100; v++) {
+        registry.Record(Hist::kFlushLatency, v);
+      }
+      registry.Tick1(Tick::kLoggerRotations);
+    }).join();
+  }
+  ASSERT_GE(registry.MaterializedShards(), 1);
+  ASSERT_LT(registry.MaterializedShards(), MetricsRegistry::kNumShards);
+  HistogramData d = registry.SnapshotHistogram(Hist::kFlushLatency);
+  EXPECT_EQ(d.count, 200u);
+  EXPECT_EQ(d.sum, 2u * 5050u);
+  EXPECT_EQ(d.max, 100u);
+  EXPECT_NEAR(d.p50, 50.0, 50.0 * 0.25);
+  EXPECT_EQ(registry.TickTotal(Tick::kLoggerRotations), 2u);
+  EXPECT_EQ(registry.TickTotal(Tick::kListenerFailures), 0u);
+
+  const int installed = registry.MaterializedShards();
+  registry.Reset();
+  EXPECT_EQ(registry.MaterializedShards(), installed);
+  d = registry.SnapshotHistogram(Hist::kFlushLatency);
+  EXPECT_EQ(d.count, 0u);
+  EXPECT_EQ(d.sum, 0u);
+  EXPECT_EQ(d.max, 0u);
+  EXPECT_EQ(registry.TickTotal(Tick::kLoggerRotations), 0u);
+
+  // Recording after the reset sees only the new samples.
+  registry.Record(Hist::kFlushLatency, 7);
+  d = registry.SnapshotHistogram(Hist::kFlushLatency);
+  EXPECT_EQ(d.count, 1u);
+  EXPECT_EQ(d.max, 7u);
 }
 
 TEST(MetricsRegistry, StopWatchRecordsOnlyWithRegistry) {

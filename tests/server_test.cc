@@ -467,6 +467,40 @@ TEST_F(ServerTest, InfoReportsShardsAndArenaBacking) {
   EXPECT_NE(r.str.find("engine_calls_per_command:"), std::string::npos);
 }
 
+// Capacity of the asking connection's buffers, from its INFO reply.
+uint64_t ClientBufferCapacity(RespClient* c) {
+  RespReply r;
+  EXPECT_TRUE(c->Command({"INFO"}, &r).ok());
+  const std::string field = "client_buffer_capacity:";
+  const size_t at = r.str.find(field);
+  EXPECT_NE(at, std::string::npos) << r.str;
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::stoull(r.str.substr(at + field.size()));
+}
+
+// One large SET and GET must not leave the connection holding their
+// high-water buffer capacity once both buffers drain.
+TEST_F(ServerTest, DrainedBuffersReleaseLargeValueCapacity) {
+  StartServer();
+  RespClient c;
+  ASSERT_TRUE(Connect(&c).ok());
+  constexpr uint64_t kRetainedCap = 256u << 10;
+  EXPECT_LT(ClientBufferCapacity(&c), kRetainedCap);
+
+  const std::string big(4u << 20, 'z');
+  RespReply r;
+  ASSERT_TRUE(c.Command({"SET", "big", big}, &r).ok());
+  ASSERT_EQ(r.str, "OK");
+  ASSERT_TRUE(c.Command({"GET", "big"}, &r).ok());
+  ASSERT_EQ(r.str.size(), big.size());
+  EXPECT_EQ(r.str, big);
+  EXPECT_LT(ClientBufferCapacity(&c), kRetainedCap);
+
+  // The connection keeps serving after the release.
+  ASSERT_TRUE(c.Command({"GET", "big"}, &r).ok());
+  EXPECT_EQ(r.str.size(), big.size());
+}
+
 TEST_F(ServerTest, QuitFlushesAndCloses) {
   StartServer();
   RespClient c;
