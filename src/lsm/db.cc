@@ -1110,6 +1110,80 @@ Status DB::CompactAll() {
 
 // --- Read path ---
 
+namespace {
+
+// One data block a lookup round reads, shared by every key that needs it.
+struct BlockFetch {
+  const TableReader* table;
+  BlockHandle handle;
+  bool read = false;  // Handed to FetchBlocks.
+  Status status{};
+  std::shared_ptr<const std::string> contents{};
+};
+
+// Reads a round's blocks. `f` is in (file, offset) order, so each table's
+// blocks are contiguous: several blocks of a batch-capable table go to the
+// device as ONE ReadBatch (one io_uring_enter on the uring backend), and
+// every other block is read on its own, hinted first so the reads overlap;
+// with a read pool the reads fan out across it. A round of one block is
+// one plain read, the read a lone Get issues.
+void FetchBlocks(const std::vector<BlockFetch*>& f, ThreadPool* pool) {
+  auto fetch_one = [&f](size_t k) {
+    f[k]->status = f[k]->table->ReadBlockShared(
+        f[k]->handle, BlockCache::InsertPriority::kHigh, &f[k]->contents);
+  };
+  if (f.size() == 1) {
+    fetch_one(0);
+    return;
+  }
+  struct BatchGroup {
+    size_t begin;
+    size_t end;
+  };
+  std::vector<BatchGroup> groups;
+  std::vector<size_t> singles;
+  for (size_t pos = 0; pos < f.size();) {
+    size_t end = pos + 1;
+    while (end < f.size() && f[end]->table == f[pos]->table) end++;
+    if (end - pos > 1 && f[pos]->table->SupportsBatchReads()) {
+      groups.push_back(BatchGroup{pos, end});
+    } else {
+      for (size_t k = pos; k < end; k++) singles.push_back(k);
+    }
+    pos = end;
+  }
+  for (size_t k : singles) f[k]->table->HintBlock(f[k]->handle);
+  auto fetch_group = [&f](const BatchGroup& g) {
+    const size_t count = g.end - g.begin;
+    std::vector<BlockHandle> handles(count);
+    std::vector<std::shared_ptr<const std::string>> contents(count);
+    std::vector<Status> statuses(count);
+    for (size_t k = 0; k < count; k++) handles[k] = f[g.begin + k]->handle;
+    const Status batch = f[g.begin]->table->ReadBlocksShared(
+        handles.data(), count, BlockCache::InsertPriority::kHigh,
+        contents.data(), statuses.data());
+    for (size_t k = 0; k < count; k++) {
+      f[g.begin + k]->status = batch.ok() ? statuses[k] : batch;
+      f[g.begin + k]->contents = std::move(contents[k]);
+    }
+  };
+  const size_t num_tasks = singles.size() + groups.size();
+  if (pool != nullptr && num_tasks > 1) {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(num_tasks);
+    for (size_t k : singles) tasks.push_back([&fetch_one, k] { fetch_one(k); });
+    for (const BatchGroup& g : groups) {
+      tasks.push_back([&fetch_group, &g] { fetch_group(g); });
+    }
+    pool->RunBatch(std::move(tasks));
+  } else {
+    for (size_t k : singles) fetch_one(k);
+    for (const BatchGroup& g : groups) fetch_group(g);
+  }
+}
+
+}  // namespace
+
 Status DB::Get(const ReadOptions& options, const Slice& key,
                std::string* value) {
   counters_.gets.fetch_add(1, std::memory_order_relaxed);
@@ -1118,124 +1192,10 @@ Status DB::Get(const ReadOptions& options, const Slice& key,
   if (PerfCountsEnabled()) GetPerfContext()->get_count++;
   TraceArmer trace_armer(options.trace || TraceSampleHead());
   TraceSpan get_span(TraceName::kDbGet);
-
-  // Pin the view BEFORE loading the read sequence. Each run in the view was
-  // built by a job whose smallest_snapshot was at most the sequence when
-  // the job started, so the newest version of a key at or below a sequence
-  // loaded now survived in it. (Loading the sequence first would let a
-  // flush publish in between and drop that version, hiding the key.) Every
-  // write acknowledged before this call is in one of the view's memtables.
-  const std::shared_ptr<const ReadView> view = CurrentView();
-  const SequenceNumber read_seq =
-      options.snapshot != nullptr
-          ? options.snapshot->sequence()
-          : last_sequence_.load(std::memory_order_acquire);
-  LookupKey lookup(key, read_seq);
-
-  // 1. The buffer (Level 0): active memtable, then frozen ones newest-first.
-  {
-    PerfTimer mem_timer(&GetPerfContext()->memtable_lookup_nanos);
-    TraceSpan mem_span(TraceName::kMemtableProbe);
-    bool found_entry = false;
-    ValueType type = ValueType::kValue;
-    int memtables_probed = 0;
-    for (const MemTable* mem : view->MemTables()) {
-      memtables_probed++;
-      Status s = mem->Get(lookup, value, &found_entry, &type);
-      if (found_entry) {
-        if (PerfCountsEnabled()) GetPerfContext()->memtable_hits++;
-        if (mem_span.armed()) mem_span.set_args(memtables_probed, 1);
-        if (get_span.armed()) get_span.set_args(1);
-        if (s.ok() && type == ValueType::kValueHandle) {
-          return ResolveHandle(value);
-        }
-        return s;
-      }
-    }
-    if (mem_span.armed()) mem_span.set_args(memtables_probed, 0);
-  }
-
-  // 2. Disk levels, shallowest to deepest; runs newest to oldest.
-  const Version& version = *view->version;
-  const bool perf = PerfCountsEnabled();
-  // Predicted per-level FPR for kRunProbe annotations (the allocator's
-  // Eq. 5/6 plan, in parts-per-billion so the arg stays integral).
-  // Computed once, and only for armed requests.
-  const bool traced = get_span.armed();
-  LsmShape trace_shape;
-  const FprAllocationPolicy* trace_policy = nullptr;
-  if (traced) {
-    trace_shape = CurrentShape();
-    trace_policy = options_.fpr_policy != nullptr ? options_.fpr_policy.get()
-                                                  : DefaultFprPolicy();
-  }
-  const bool leveled = options_.merge_policy == MergePolicy::kLeveling;
-  for (int level = 1; level <= version.NumLevels(); level++) {
-    // Stats index the first on-disk level as 0 and clamp at the array end.
-    const int sl = StatLevel(level - 1);
-    for (const RunPtr& run :
-         RunsToProbe(version.RunsAt(level), leveled, key)) {
-      TableLookupResult result;
-      ValueType type = ValueType::kValue;
-      TraceSpan run_span(TraceName::kRunProbe, level);
-      MONKEYDB_RETURN_IF_ERROR(
-          run->table->Get(lookup, value, &result, &type));
-      if (run_span.armed()) {
-        run_span.set_args(
-            level, static_cast<int64_t>(result),
-            static_cast<int64_t>(trace_policy->RunFpr(trace_shape, level) *
-                                 1e9));
-      }
-      switch (result) {
-        case TableLookupResult::kFound:
-          counters_.runs_probed.fetch_add(1, std::memory_order_relaxed);
-          counters_.runs_probed_per_level[sl].fetch_add(
-              1, std::memory_order_relaxed);
-          if (perf) {
-            GetPerfContext()->runs_probed++;
-            GetPerfContext()->runs_probed_per_level[sl]++;
-          }
-          if (get_span.armed()) get_span.set_args(1);
-          if (type == ValueType::kValueHandle) return ResolveHandle(value);
-          return Status::OK();
-        case TableLookupResult::kDeleted:
-          counters_.runs_probed.fetch_add(1, std::memory_order_relaxed);
-          counters_.runs_probed_per_level[sl].fetch_add(
-              1, std::memory_order_relaxed);
-          if (perf) {
-            GetPerfContext()->runs_probed++;
-            GetPerfContext()->runs_probed_per_level[sl]++;
-          }
-          return Status::NotFound("deleted");
-        case TableLookupResult::kNotPresent:
-          counters_.runs_probed.fetch_add(1, std::memory_order_relaxed);
-          counters_.runs_probed_per_level[sl].fetch_add(
-              1, std::memory_order_relaxed);
-          counters_.false_positives.fetch_add(1, std::memory_order_relaxed);
-          counters_.false_positives_per_level[sl].fetch_add(
-              1, std::memory_order_relaxed);
-          if (perf) {
-            GetPerfContext()->runs_probed++;
-            GetPerfContext()->runs_probed_per_level[sl]++;
-            GetPerfContext()->bloom_false_positives++;
-            GetPerfContext()->false_positives_per_level[sl]++;
-          }
-          break;
-        case TableLookupResult::kFilteredOut:
-          counters_.filter_negatives.fetch_add(1, std::memory_order_relaxed);
-          counters_.filter_negatives_per_level[sl].fetch_add(
-              1, std::memory_order_relaxed);
-          if (perf) {
-            GetPerfContext()->filter_negatives_per_level[sl]++;
-          }
-          break;
-      }
-    }
-  }
-  // A bare NotFound is the paper's zero-result lookup: every disk access it
-  // performed was a Bloom false positive (measured R in DumpMetrics).
-  counters_.gets_not_found.fetch_add(1, std::memory_order_relaxed);
-  return Status::NotFound();
+  Status status;
+  LookupKeys(options, &key, 1, value, &status);
+  if (get_span.armed()) get_span.set_args(status.ok() ? 1 : 0);
+  return status;
 }
 
 std::vector<Status> DB::MultiGet(const ReadOptions& options,
@@ -1247,256 +1207,229 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
   TraceArmer trace_armer(options.trace || TraceSampleHead());
   TraceSpan batch_span(TraceName::kDbMultiGet,
                        static_cast<int64_t>(keys.size()));
-
   values->assign(keys.size(), std::string());
-  std::vector<Status> statuses(keys.size(), Status::OK());
-  if (keys.empty()) return statuses;
+  std::vector<Status> statuses(keys.size());
+  if (!keys.empty()) {
+    LookupKeys(options, keys.data(), keys.size(), values->data(),
+               statuses.data());
+  }
+  return statuses;
+}
 
-  // One snapshot for the whole batch (view before sequence, as in Get).
+void DB::LookupKeys(const ReadOptions& options, const Slice* keys, size_t n,
+                    std::string* values, Status* statuses) {
+  // Pin the view BEFORE loading the read sequence. Each run in the view was
+  // built by a job whose smallest_snapshot was at most the sequence when
+  // the job started, so the newest version of a key at or below a sequence
+  // loaded now survived in it. (Loading the sequence first would let a
+  // flush publish in between and drop that version, hiding the key.) Every
+  // write acknowledged before this call is in one of the view's memtables.
   const std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
+  PerfContext* perf = PerfCountsEnabled() ? GetPerfContext() : nullptr;
 
-  std::vector<LookupKey> lookups;
-  lookups.reserve(keys.size());
-  for (const Slice& key : keys) lookups.emplace_back(key, read_seq);
-
-  // Stage 1: the buffer (Level 0) — no I/O. Keys resolved here never reach
-  // the disk stages.
-  std::vector<bool> resolved(keys.size(), false);
-  size_t unresolved = 0;
-  for (size_t i = 0; i < keys.size(); i++) {
-    bool found_entry = false;
-    ValueType type = ValueType::kValue;
-    for (const MemTable* mem : view->MemTables()) {
-      Status s = mem->Get(lookups[i], &(*values)[i], &found_entry, &type);
-      if (found_entry) {
-        if (s.ok() && type == ValueType::kValueHandle) {
-          s = ResolveHandle(&(*values)[i]);
-        }
-        statuses[i] = s;
-        resolved[i] = true;
-        break;
-      }
-    }
-    if (!resolved[i]) unresolved++;
-  }
-
-  if (unresolved == 0) return statuses;
-
-  // Stage 2: plan the disk probes — every (key, run) Bloom-filter and
-  // fence-pointer probe up front, still no I/O. Each surviving probe names
-  // exactly one data block.
-  const Version& version = *view->version;
-  struct Probe {
-    const TableReader* table;
-    BlockHandle handle;
-    uint64_t file_number;
-    int stat_level;  // StatLevel(level - 1) of the run that planned it.
+  // A key on its way down the disk levels: `runs` are the runs it probes at
+  // `level` (RunsToProbe), `next` the one its next probe consults. Between
+  // a round's probe and search stages, `run`/`handle` name the block the
+  // key needs and `block` that block's read.
+  struct Cursor {
+    size_t key;
+    LookupKey lookup;
+    int level = 0;
+    std::span<const RunPtr> runs{};
+    size_t next = 0;
+    const RunMetadata* run = nullptr;
+    BlockHandle handle{};
+    const BlockFetch* block = nullptr;
   };
-  // Per key, in run order (shallowest level first, runs newest first) —
-  // the runs Get would probe, in the order it would probe them.
-  const bool leveled = options_.merge_policy == MergePolicy::kLeveling;
-  std::vector<std::vector<Probe>> probes(keys.size());
-  for (int level = 1; level <= version.NumLevels(); level++) {
-    const int sl = StatLevel(level - 1);
-    for (size_t i = 0; i < keys.size(); i++) {
-      if (resolved[i]) continue;
-      for (const RunPtr& run :
-           RunsToProbe(version.RunsAt(level), leveled, keys[i])) {
-        TableReader::ProbeState state;
-        BlockHandle handle;
-        Status s = run->table->FindBlockHandle(lookups[i], &handle, &state);
-        if (!s.ok()) {
-          statuses[i] = s;
-          resolved[i] = true;
+  std::vector<Cursor> pending;
+
+  // 1. The buffer (Level 0): active memtable, then frozen ones newest-first.
+  {
+    PerfTimer mem_timer(&GetPerfContext()->memtable_lookup_nanos);
+    TraceSpan mem_span(TraceName::kMemtableProbe);
+    const std::vector<const MemTable*> mems = view->MemTables();
+    int64_t memtables_probed = 0;
+    int64_t hits = 0;
+    for (size_t i = 0; i < n; i++) {
+      LookupKey lookup(keys[i], read_seq);
+      bool found_entry = false;
+      for (const MemTable* mem : mems) {
+        memtables_probed++;
+        ValueType type = ValueType::kValue;
+        const Status s = mem->Get(lookup, &values[i], &found_entry, &type);
+        if (found_entry) {
+          statuses[i] = s.ok() && type == ValueType::kValueHandle
+                            ? ResolveHandle(&values[i])
+                            : s;
           break;
         }
-        switch (state) {
-          case TableReader::ProbeState::kBlockNeeded:
-            probes[i].push_back(Probe{run->table.get(), handle,
-                                      run->file_number, sl});
-            break;
-          case TableReader::ProbeState::kFilteredOut:
-            counters_.filter_negatives.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            counters_.filter_negatives_per_level[sl].fetch_add(
-                1, std::memory_order_relaxed);
-            if (PerfCountsEnabled()) {
-              GetPerfContext()->filter_negatives_per_level[sl]++;
-            }
-            break;
-          case TableReader::ProbeState::kNoBlock:
-            break;
+      }
+      if (found_entry) {
+        hits++;
+      } else {
+        pending.push_back(Cursor{.key = i, .lookup = std::move(lookup)});
+      }
+    }
+    if (perf != nullptr) perf->memtable_hits += hits;
+    if (mem_span.armed()) mem_span.set_args(memtables_probed, hits);
+  }
+
+  // 2. The disk levels, shallowest first and runs newest first, in rounds.
+  // A round's probe stage moves every pending key through filter and fence
+  // probes (no I/O) until it needs a block or has passed its last run; the
+  // fetch stage reads the needed blocks not read yet, in (file, offset)
+  // order; the search stage looks each key up in its block. A hit or a
+  // tombstone resolves the key; a false positive leaves it pending for the
+  // next round. No key reads past the run that resolves it, and no block
+  // is read twice in one call.
+  const Version& version = *view->version;
+  const bool leveled = options_.merge_policy == MergePolicy::kLeveling;
+  // Shape the run-probe spans' predicted FPR is planned from (Eq. 5/6):
+  // read once, and only for armed requests.
+  LsmShape plan;
+  const bool traced = !pending.empty() && TraceArmed();
+  if (traced) plan = CurrentShape();
+  const LsmShape* annotate = traced ? &plan : nullptr;
+
+  // True iff c now needs a block; false once c is resolved.
+  auto probe_to_block = [&](Cursor& c) {
+    while (true) {
+      while (c.next == c.runs.size()) {
+        if (++c.level > version.NumLevels()) {
+          // Past its last run: the paper's zero-result lookup, every disk
+          // access of which was a false positive.
+          counters_.gets_not_found.fetch_add(1, std::memory_order_relaxed);
+          statuses[c.key] = Status::NotFound();
+          return false;
         }
+        c.runs = RunsToProbe(version.RunsAt(c.level), leveled, keys[c.key]);
+        c.next = 0;
       }
-    }
-  }
-
-  // Stage 3: fetch the surviving blocks together. Dedup (several keys can
-  // share a block) and order by (file, offset) — one sorted pass over the
-  // devices. Hints go out for every block before the first read, so the
-  // reads overlap; the pool then fans them out when available.
-  struct BlockFetch {
-    const TableReader* table;
-    BlockHandle handle;
-    Status status;
-    std::shared_ptr<const std::string> contents;
-  };
-  std::map<std::pair<uint64_t, uint64_t>, size_t> fetch_index;
-  std::vector<BlockFetch> fetches;
-  for (size_t i = 0; i < keys.size(); i++) {
-    for (const Probe& probe : probes[i]) {
-      fetch_index.emplace(
-          std::make_pair(probe.file_number, probe.handle.offset),
-          fetch_index.size());
-    }
-  }
-  fetches.resize(fetch_index.size());
-  for (size_t i = 0; i < keys.size(); i++) {
-    for (const Probe& probe : probes[i]) {
-      const size_t fi = fetch_index.at(
-          std::make_pair(probe.file_number, probe.handle.offset));
-      fetches[fi].table = probe.table;
-      fetches[fi].handle = probe.handle;
-    }
-  }
-  // fetch_index iterates in (file, offset) order.
-  std::vector<size_t> fetch_order;
-  fetch_order.reserve(fetches.size());
-  for (const auto& [key, fi] : fetch_index) fetch_order.push_back(fi);
-
-  // Partition the (sorted, hence per-table contiguous) plan: multi-block
-  // groups on batch-capable tables are submitted to the device as ONE
-  // ReadBatch each — the whole per-table fetch plan in one io_uring_enter
-  // on the uring backend. Everything else keeps the classic path: an
-  // async-read hint per block, then per-block fan-out.
-  struct BatchGroup {
-    const TableReader* table;
-    std::vector<size_t> fis;
-  };
-  std::vector<BatchGroup> groups;
-  std::vector<size_t> singles;
-  for (size_t pos = 0; pos < fetch_order.size();) {
-    const TableReader* table = fetches[fetch_order[pos]].table;
-    size_t end = pos;
-    while (end < fetch_order.size() &&
-           fetches[fetch_order[end]].table == table) {
-      end++;
-    }
-    if (table->SupportsBatchReads() && end - pos > 1) {
-      groups.push_back(BatchGroup{
-          table, std::vector<size_t>(fetch_order.begin() + pos,
-                                     fetch_order.begin() + end)});
-    } else {
-      for (size_t k = pos; k < end; k++) singles.push_back(fetch_order[k]);
-    }
-    pos = end;
-  }
-  // Hints go out for every classic-path block before the first read, so
-  // those reads overlap. Batched groups need no hints: the single
-  // submission is the overlap mechanism.
-  for (size_t fi : singles) {
-    fetches[fi].table->HintBlock(fetches[fi].handle);
-  }
-  auto fetch_one = [&fetches](size_t fi) {
-    BlockFetch& f = fetches[fi];
-    f.status = f.table->ReadBlockShared(
-        f.handle, BlockCache::InsertPriority::kHigh, &f.contents);
-  };
-  auto fetch_group = [&fetches](const BatchGroup& g) {
-    std::vector<BlockHandle> handles(g.fis.size());
-    std::vector<std::shared_ptr<const std::string>> contents(g.fis.size());
-    std::vector<Status> statuses(g.fis.size());
-    for (size_t k = 0; k < g.fis.size(); k++) {
-      handles[k] = fetches[g.fis[k]].handle;
-    }
-    Status batch = g.table->ReadBlocksShared(
-        handles.data(), handles.size(), BlockCache::InsertPriority::kHigh,
-        contents.data(), statuses.data());
-    for (size_t k = 0; k < g.fis.size(); k++) {
-      BlockFetch& f = fetches[g.fis[k]];
-      f.status = batch.ok() ? statuses[k] : batch;
-      f.contents = std::move(contents[k]);
-    }
-  };
-  const size_t num_tasks = singles.size() + groups.size();
-  if (read_pool_ != nullptr && num_tasks > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(num_tasks);
-    for (size_t fi : singles) {
-      tasks.push_back([&fetch_one, fi] { fetch_one(fi); });
-    }
-    for (const BatchGroup& g : groups) {
-      tasks.push_back([&fetch_group, &g] { fetch_group(g); });
-    }
-    read_pool_->RunBatch(std::move(tasks));
-  } else {
-    for (size_t fi : singles) fetch_one(fi);
-    for (const BatchGroup& g : groups) fetch_group(g);
-  }
-
-  // Stage 4: resolve each key against its blocks in run order (newest
-  // first), matching Get's shadowing semantics. Blocks fetched beyond a
-  // key's resolution point are speculative I/O already done; they are not
-  // counted as probes.
-  for (size_t i = 0; i < keys.size(); i++) {
-    if (resolved[i]) continue;
-    statuses[i] = Status::NotFound();
-    bool decided = false;
-    for (const Probe& probe : probes[i]) {
-      const BlockFetch& f = fetches[fetch_index.at(
-          std::make_pair(probe.file_number, probe.handle.offset))];
-      if (!f.status.ok()) {
-        statuses[i] = f.status;
-        decided = true;
-        break;
-      }
-      TableLookupResult result;
-      ValueType type = ValueType::kValue;
-      Status s = probe.table->SearchBlock(f.contents, lookups[i],
-                                          &(*values)[i], &result, &type);
+      const RunPtr& run = c.runs[c.next++];
+      TableReader::ProbeState state;
+      const Status s = run->table->FindBlockHandle(c.lookup, &c.handle, &state);
       if (!s.ok()) {
-        statuses[i] = s;
-        decided = true;
-        break;
+        statuses[c.key] = s;
+        return false;
       }
-      counters_.runs_probed.fetch_add(1, std::memory_order_relaxed);
-      counters_.runs_probed_per_level[probe.stat_level].fetch_add(
-          1, std::memory_order_relaxed);
-      if (PerfCountsEnabled()) {
-        GetPerfContext()->runs_probed++;
-        GetPerfContext()->runs_probed_per_level[probe.stat_level]++;
-      }
-      if (result == TableLookupResult::kFound) {
-        statuses[i] = type == ValueType::kValueHandle
-                          ? ResolveHandle(&(*values)[i])
-                          : Status::OK();
-        decided = true;
-        break;
-      }
-      if (result == TableLookupResult::kDeleted) {
-        statuses[i] = Status::NotFound("deleted");
-        decided = true;
-        break;
-      }
-      // kNotPresent: Bloom false positive; keep going.
-      counters_.false_positives.fetch_add(1, std::memory_order_relaxed);
-      counters_.false_positives_per_level[probe.stat_level].fetch_add(
-          1, std::memory_order_relaxed);
-      if (PerfCountsEnabled()) {
-        GetPerfContext()->bloom_false_positives++;
-        GetPerfContext()->false_positives_per_level[probe.stat_level]++;
+      switch (state) {
+        case TableReader::ProbeState::kBlockNeeded:
+          c.run = run.get();
+          return true;
+        case TableReader::ProbeState::kFilteredOut:
+          RecordProbe(c.level, TableLookupResult::kFilteredOut, perf,
+                      annotate);
+          break;
+        case TableReader::ProbeState::kNoBlock:
+          break;  // Past the run's last fence: no block, no probe.
       }
     }
-    if (!decided) {
-      // Ran out of candidate blocks: a zero-result lookup.
-      counters_.gets_not_found.fetch_add(1, std::memory_order_relaxed);
+  };
+  // True iff c stays pending (its block held a false positive).
+  auto search_block = [&](Cursor& c) {
+    TableLookupResult result = TableLookupResult::kNotPresent;
+    ValueType type = ValueType::kValue;
+    Status s = c.block->status;
+    if (s.ok()) {
+      s = c.run->table->SearchBlock(c.block->contents, c.lookup,
+                                    &values[c.key], &result, &type);
+    }
+    if (!s.ok()) {
+      statuses[c.key] = s;
+      return false;
+    }
+    RecordProbe(c.level, result, perf, annotate);
+    switch (result) {
+      case TableLookupResult::kFound:
+        statuses[c.key] = type == ValueType::kValueHandle
+                              ? ResolveHandle(&values[c.key])
+                              : Status::OK();
+        return false;
+      case TableLookupResult::kDeleted:
+        statuses[c.key] = Status::NotFound("deleted");
+        return false;
+      default:  // kNotPresent: a false positive.
+        return true;
+    }
+  };
+  // Keeps the cursors `stay` answers true for, in order.
+  auto retain = [&pending](auto&& stay) {
+    size_t kept = 0;
+    for (size_t p = 0; p < pending.size(); p++) {
+      if (!stay(pending[p])) continue;
+      if (kept != p) pending[kept] = std::move(pending[p]);
+      kept++;
+    }
+    pending.erase(pending.begin() + kept, pending.end());
+  };
+
+  // Every block the keys have needed, by (file number, offset).
+  std::map<std::pair<uint64_t, uint64_t>, BlockFetch> blocks;
+  std::vector<BlockFetch*> fetches;
+  while (!pending.empty()) {
+    retain(probe_to_block);
+    if (pending.empty()) break;
+    for (Cursor& c : pending) {
+      c.block = &blocks
+                     .try_emplace({c.run->file_number, c.handle.offset},
+                                  BlockFetch{c.run->table.get(), c.handle})
+                     .first->second;
+    }
+    fetches.clear();
+    for (auto& [file_offset, block] : blocks) {
+      if (!block.read) {
+        block.read = true;
+        fetches.push_back(&block);
+      }
+    }
+    FetchBlocks(fetches, read_pool_.get());
+    retain(search_block);
+  }
+}
+
+void DB::RecordProbe(int level, TableLookupResult outcome, PerfContext* perf,
+                     const LsmShape* plan) const {
+  // Stats index the first on-disk level as 0 and clamp at the array end.
+  const int sl = StatLevel(level - 1);
+  if (outcome == TableLookupResult::kFilteredOut) {
+    counters_.filter_negatives.fetch_add(1, std::memory_order_relaxed);
+    counters_.filter_negatives_per_level[sl].fetch_add(
+        1, std::memory_order_relaxed);
+    if (perf != nullptr) {
+      perf->filter_negatives++;
+      perf->filter_negatives_per_level[sl]++;
+    }
+  } else {
+    // A block was searched: a hit, a tombstone, or a false positive.
+    counters_.runs_probed.fetch_add(1, std::memory_order_relaxed);
+    counters_.runs_probed_per_level[sl].fetch_add(1,
+                                                  std::memory_order_relaxed);
+    if (perf != nullptr) {
+      perf->runs_probed++;
+      perf->runs_probed_per_level[sl]++;
+    }
+    if (outcome == TableLookupResult::kNotPresent) {
+      counters_.false_positives.fetch_add(1, std::memory_order_relaxed);
+      counters_.false_positives_per_level[sl].fetch_add(
+          1, std::memory_order_relaxed);
+      if (perf != nullptr) {
+        perf->bloom_false_positives++;
+        perf->false_positives_per_level[sl]++;
+      }
     }
   }
-  return statuses;
+  if (plan != nullptr) {
+    // The predicted FPR in parts-per-billion, so the arg stays integral.
+    const FprAllocationPolicy* policy = options_.fpr_policy != nullptr
+                                            ? options_.fpr_policy.get()
+                                            : DefaultFprPolicy();
+    TraceInstant(TraceName::kRunProbe, level, static_cast<int64_t>(outcome),
+                 static_cast<int64_t>(policy->RunFpr(*plan, level) * 1e9));
+  }
 }
 
 // Replaces *value (an encoded ValueHandle) with the value it points at.

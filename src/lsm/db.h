@@ -64,6 +64,7 @@
 namespace monkeydb {
 
 class UringEnv;
+struct PerfContext;
 struct UringStatsSnapshot;
 
 // Aggregate statistics for experiments and debugging.
@@ -170,20 +171,20 @@ class DB {
 
   // Point lookup. Returns NotFound if the key does not exist or was
   // deleted. Never blocks on the writer mutex or in-flight compactions.
+  // A one-key MultiGet: both run the same lookup core.
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value);
 
   // Batched point lookup: resolves every key against ONE consistent
-  // snapshot and pipelines the disk probes. The batch first probes the
-  // memtables and every run's Bloom filter + fence pointers (no I/O),
-  // dedups the surviving data blocks, sorts them by (file, offset), and
-  // fetches them together — hinting all of them to the device up front and
-  // reading through the shared read pool when one exists — before
-  // resolving each key in run order. Results land in (*values)[i] with the
-  // per-key outcome in the returned vector ((*values) is resized; order
-  // matches keys). Unlike N sequential Gets, a run deeper than a key's
-  // resolution may be probed speculatively; the extra reads are bounded by
-  // the Bloom false-positive rate.
+  // snapshot. After the memtables, the keys walk the runs in rounds: each
+  // round probes every unresolved key's filters and fence pointers (no
+  // I/O) up to the next block it needs, fetches those blocks together —
+  // deduplicated, in (file, offset) order, through the shared read pool
+  // when one exists — and searches each key's block. A key stops at the
+  // run that resolves it, so the batch counts exactly the probes of a loop
+  // of Gets and reads only blocks that loop reads, each once. Results land
+  // in (*values)[i] with the per-key outcome in the returned vector
+  // ((*values) is resized; order matches keys).
   [[nodiscard]] std::vector<Status> MultiGet(
       const ReadOptions& options, const std::vector<Slice>& keys,
       std::vector<std::string>* values);
@@ -511,6 +512,19 @@ class DB {
 
   // Replaces *value (an encoded ValueHandle) with the logged value.
   Status ResolveHandle(std::string* value) const;
+
+  // The lookup core behind Get and MultiGet: fills values[i] and
+  // statuses[i] for each of the n keys (DESIGN.md §9).
+  void LookupKeys(const ReadOptions& options, const Slice* keys, size_t n,
+                  std::string* values, Status* statuses);
+  // The one record site of a run probe's outcome at a 1-based level:
+  // bumps counters_ and, when non-null, the caller's `perf` context, and
+  // when `plan` (the shape the Eq. 5/6 allocation is read from) is
+  // non-null records the db.run_probe trace instant annotated with the
+  // level's predicted FPR. A probe whose filter passed but whose fence
+  // pointers pruned the run reads no block and is not recorded.
+  void RecordProbe(int level, TableLookupResult outcome, PerfContext* perf,
+                   const LsmShape* plan) const;
 
   std::string TableFileName(uint64_t number) const;
   Status OpenTable(RunPtr run);

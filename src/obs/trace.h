@@ -42,7 +42,7 @@ enum class TraceName : uint16_t {
   kDbGet,             // args: found
   kDbMultiGet,        // args: keys
   kMemtableProbe,     // args: memtables, hit
-  kRunProbe,          // args: level, outcome, predicted_fpr_ppb
+  kRunProbe,          // instant; args: level, outcome, predicted_fpr_ppb
   kFilterProbe,       // args: may_contain
   kFenceSeek,         // args: block_needed
   kBlockFetch,        // args: cache_hit, bytes

@@ -298,54 +298,15 @@ void MonkeyServer::ExecuteReadRun(Connection* c,
     run.push_back(rc);
   }
 
-  // One engine interaction per shard: a batch becomes MultiGet, a
-  // singleton stays a plain Get.
-  std::vector<std::string> values(keys.size());
-  std::vector<Status> statuses(keys.size());
+  // One engine interaction per shard.
   const bool timed = metrics_ != nullptr || slowlog_on;
   const uint64_t start = timed ? NowMicros() : 0;
   TraceSpan cmd_span(TraceName::kServerCommand,
                      static_cast<int64_t>(cmds[begin].spec->id),
                      static_cast<int64_t>(end - begin),
                      static_cast<int64_t>(keys.size()));
-  const ReadOptions ropts;
-  if (router_.shards() == 1) {
-    if (keys.size() == 1) {
-      statuses[0] = dbs_[0]->Get(ropts, keys[0], &values[0]);
-      point_gets_.fetch_add(1, std::memory_order_relaxed);
-    } else if (keys.size() > 1) {
-      statuses = dbs_[0]->MultiGet(ropts, keys, &values);
-      multigets_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    std::vector<std::vector<size_t>> by_shard(
-        static_cast<size_t>(router_.shards()));
-    for (size_t k = 0; k < keys.size(); ++k) {
-      by_shard[static_cast<size_t>(router_.ShardOf(keys[k]))].push_back(k);
-    }
-    for (size_t s = 0; s < by_shard.size(); ++s) {
-      const std::vector<size_t>& idx = by_shard[s];
-      if (idx.empty()) continue;
-      if (idx.size() == 1) {
-        statuses[idx[0]] =
-            dbs_[s]->Get(ropts, keys[idx[0]], &values[idx[0]]);
-        point_gets_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      std::vector<Slice> shard_keys;
-      shard_keys.reserve(idx.size());
-      for (size_t k : idx) shard_keys.push_back(keys[k]);
-      std::vector<std::string> shard_values;
-      std::vector<Status> shard_statuses =
-          dbs_[s]->MultiGet(ropts, shard_keys, &shard_values);
-      multigets_.fetch_add(1, std::memory_order_relaxed);
-      // Reassemble in request order.
-      for (size_t k = 0; k < idx.size(); ++k) {
-        values[idx[k]] = std::move(shard_values[k]);
-        statuses[idx[k]] = shard_statuses[k];
-      }
-    }
-  }
+  std::vector<std::string> values;
+  const std::vector<Status> statuses = MultiGetSharded(keys, &values);
   cmd_span.Finish();
   const uint64_t elapsed = timed ? NowMicros() - start : 0;
   if (slowlog_on && elapsed >= opts_.slowlog_threshold_us) {
@@ -407,6 +368,36 @@ void MonkeyServer::ExecuteReadRun(Connection* c,
   RecordCommandLatency(Hist::kServerOtherLatency, elapsed, n_other);
 }
 
+std::vector<Status> MonkeyServer::MultiGetSharded(
+    const std::vector<Slice>& keys, std::vector<std::string>* values) {
+  values->assign(keys.size(), std::string());
+  std::vector<Status> statuses(keys.size());
+  std::vector<std::vector<size_t>> by_shard(
+      static_cast<size_t>(router_.shards()));
+  for (size_t k = 0; k < keys.size(); ++k) {
+    by_shard[static_cast<size_t>(router_.ShardOf(keys[k]))].push_back(k);
+  }
+  const ReadOptions ropts;
+  for (size_t s = 0; s < by_shard.size(); ++s) {
+    const std::vector<size_t>& idx = by_shard[s];
+    if (idx.empty()) continue;
+    std::vector<Slice> shard_keys;
+    shard_keys.reserve(idx.size());
+    for (size_t k : idx) shard_keys.push_back(keys[k]);
+    std::vector<std::string> shard_values;
+    std::vector<Status> shard_statuses =
+        dbs_[s]->MultiGet(ropts, shard_keys, &shard_values);
+    (idx.size() == 1 ? point_gets_ : multigets_)
+        .fetch_add(1, std::memory_order_relaxed);
+    // Reassemble in key order.
+    for (size_t k = 0; k < idx.size(); ++k) {
+      (*values)[idx[k]] = std::move(shard_values[k]);
+      statuses[idx[k]] = std::move(shard_statuses[k]);
+    }
+  }
+  return statuses;
+}
+
 void MonkeyServer::ExecuteWriteRun(Connection* c,
                                    const std::vector<ParsedCommand>& cmds,
                                    size_t begin, size_t end) {
@@ -417,44 +408,28 @@ void MonkeyServer::ExecuteWriteRun(Connection* c,
 
   // DEL needs to report how many of its keys existed; probe them all in
   // one batched existence pass per shard before the deletes commit.
-  std::vector<std::vector<Slice>> del_keys(nshards);
+  std::vector<Slice> del_keys;
   for (size_t i = begin; i < end; ++i) {
     const ParsedCommand& cmd = cmds[i];
     if (cmd.spec->id != CommandId::kDel ||
         CheckArity(*cmd.spec, cmd.args.size()) != nullptr) {
       continue;
     }
-    for (size_t a = 1; a < cmd.args.size(); ++a) {
-      del_keys[static_cast<size_t>(router_.ShardOf(cmd.args[a]))]
-          .push_back(cmd.args[a]);
-    }
+    del_keys.insert(del_keys.end(), cmd.args.begin() + 1, cmd.args.end());
   }
   const bool timed = metrics_ != nullptr || slowlog_on;
   const uint64_t start = timed ? NowMicros() : 0;
   TraceSpan cmd_span(TraceName::kServerCommand,
                      static_cast<int64_t>(cmds[begin].spec->id),
                      static_cast<int64_t>(end - begin), 0);
-  // exists[shard] maps key -> found (a key DEL'd twice in one run counts
-  // once per mention, matching sequential semantics closely enough for a
-  // batch that commits atomically).
-  std::vector<std::map<std::string, bool>> exists(nshards);
-  const ReadOptions ropts;
-  for (size_t s = 0; s < nshards; ++s) {
-    if (del_keys[s].empty()) continue;
-    if (del_keys[s].size() == 1) {
-      std::string scratch;
-      const Status st = dbs_[s]->Get(ropts, del_keys[s][0], &scratch);
-      point_gets_.fetch_add(1, std::memory_order_relaxed);
-      exists[s][del_keys[s][0].ToString()] = st.ok();
-      continue;
-    }
-    std::vector<std::string> scratch;
-    const std::vector<Status> sts =
-        dbs_[s]->MultiGet(ropts, del_keys[s], &scratch);
-    multigets_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t k = 0; k < del_keys[s].size(); ++k) {
-      exists[s][del_keys[s][k].ToString()] = sts[k].ok();
-    }
+  // exists maps key -> found (a key DEL'd twice in one run counts once
+  // per mention, matching sequential semantics closely enough for a batch
+  // that commits atomically).
+  std::map<std::string, bool> exists;
+  std::vector<std::string> scratch;
+  const std::vector<Status> del_status = MultiGetSharded(del_keys, &scratch);
+  for (size_t k = 0; k < del_keys.size(); ++k) {
+    exists[del_keys[k].ToString()] = del_status[k].ok();
   }
 
   // Build one WriteBatch per shard, in command order, and commit each
@@ -539,10 +514,8 @@ void MonkeyServer::ExecuteWriteRun(Connection* c,
       case CommandId::kDel: {
         long long removed = 0;
         for (size_t a = 1; a < cmd.args.size(); ++a) {
-          const size_t s =
-              static_cast<size_t>(router_.ShardOf(cmd.args[a]));
-          auto it = exists[s].find(cmd.args[a].ToString());
-          if (it != exists[s].end() && it->second) ++removed;
+          auto it = exists.find(cmd.args[a].ToString());
+          if (it != exists.end() && it->second) ++removed;
         }
         resp::AppendInteger(out, removed);
         ++n_del;
@@ -1067,10 +1040,11 @@ std::string MonkeyServer::MetricsText() const {
   w.Counter("monkey_server_connections_total", "Connections accepted",
             static_cast<double>(total_connections()));
   w.Counter("monkey_server_engine_point_gets_total",
-            "DB::Get calls issued for client commands",
+            "One-key DB::MultiGet calls issued for client commands",
             static_cast<double>(calls.point_gets));
   w.Counter("monkey_server_engine_multigets_total",
-            "DB::MultiGet batches issued for client commands",
+            "DB::MultiGet batches of two or more keys issued for client "
+            "commands",
             static_cast<double>(calls.multigets));
   w.Counter("monkey_server_engine_writes_total",
             "WriteBatch commits issued for client commands",

@@ -43,8 +43,8 @@ class MonkeyServer {
   // pipelining win. calls/commands_processed() is the batching ratio the
   // server bench asserts on (<= 0.2 at pipeline depth 16).
   struct EngineCalls {
-    uint64_t point_gets = 0;  // DB::Get calls.
-    uint64_t multigets = 0;   // DB::MultiGet calls (batches, not keys).
+    uint64_t point_gets = 0;  // One-key DB::MultiGet calls.
+    uint64_t multigets = 0;   // Larger DB::MultiGet calls (not keys).
     uint64_t writes = 0;      // DB::Write calls (batches, not ops).
     uint64_t scans = 0;       // Iterators opened for SCAN.
     uint64_t Total() const {
@@ -128,6 +128,10 @@ class MonkeyServer {
                        const std::vector<ParsedCommand>& cmds,
                        size_t begin, size_t end);
   void ExecuteAdmin(Connection* c, const ParsedCommand& cmd);
+  // Looks keys up with one DB::MultiGet per shard they touch; the values
+  // and statuses come back in key order.
+  std::vector<Status> MultiGetSharded(const std::vector<Slice>& keys,
+                                      std::vector<std::string>* values);
 
   void DoScan(Connection* c, const ParsedCommand& cmd);
   void DoConfig(Connection* c, const ParsedCommand& cmd);

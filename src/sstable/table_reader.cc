@@ -256,7 +256,6 @@ Status TableReader::FindBlockHandle(const LookupKey& lookup,
     if (filter_span.armed()) filter_span.set_args(may_contain ? 1 : 0);
   }
   if (!may_contain) {
-    if (perf) GetPerfContext()->filter_negatives++;
     *state = ProbeState::kFilteredOut;
     return Status::OK();
   }

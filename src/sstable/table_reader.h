@@ -92,9 +92,10 @@ class TableReader {
     kBlockNeeded,  // *handle names the one data block that may hold it.
   };
 
-  // The no-I/O half of Get. The batched read path (DB::MultiGet) calls
-  // this for every (key, run) pair first, then fetches the surviving
-  // blocks together, then resolves each key with SearchBlock.
+  // The no-I/O half of Get. The DB's lookup core calls it run by run until
+  // a key needs a block, fetches the blocks a round of keys needs
+  // together, then resolves each key with SearchBlock. The outcome counts
+  // (filter negatives, false positives) are the caller's to record.
   Status FindBlockHandle(const LookupKey& lookup, BlockHandle* handle,
                          ProbeState* state) const;
 

@@ -16,6 +16,7 @@
 #include <set>
 #include <thread>
 
+#include "io/counting_env.h"
 #include "io/env.h"
 #include "monkey/monkey_db.h"
 #include "util/random.h"
@@ -715,6 +716,41 @@ TEST(DbBasics, LeveledOpenOfTieredRunsProbesEveryRun) {
     EXPECT_EQ(values[i], value) << key;
     i++;
   }
+}
+
+// Regression: Get counted a filter pass that the fence pointers then
+// pruned (a key above a run's last key, so no block is read) as a run
+// probe and a false positive. A probe is counted only where a block is
+// searched, so both counts must equal the blocks read.
+TEST(DbBasics, GetAboveEveryKeyCountsNoPhantomProbe) {
+  auto base_env = NewMemEnv();
+  IoStats io;
+  CountingEnv env(base_env.get(), &io);
+  DbOptions options;
+  options.env = &env;
+  options.buffer_size_bytes = 16 << 10;
+  options.bits_per_entry = 0;  // Every filter passes: only fences prune.
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  const std::string value(48, 'v');
+  for (int i = 0; i < 20000; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%08d", (i * 7919) % 20000);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+  }
+  ASSERT_GT(db->GetStats().total_runs, 1u);
+
+  const DbStats before = db->GetStats();
+  const IoStatsSnapshot io_before = io.Snapshot();
+  std::string got;
+  for (const char* key : {"zzz0", "zzz1", "zzz2"}) {
+    EXPECT_TRUE(db->Get(ReadOptions(), key, &got).IsNotFound()) << key;
+  }
+  const DbStats after = db->GetStats();
+  const uint64_t reads = (io.Snapshot() - io_before).read_ios;
+  EXPECT_EQ(after.runs_probed - before.runs_probed, reads);
+  EXPECT_EQ(after.false_positives - before.false_positives, reads);
+  EXPECT_EQ(after.gets_not_found - before.gets_not_found, 3u);
 }
 
 // Regression: B·P, the entries of one buffer, was fixed by the first flush

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "io/block_cache.h"
+#include "io/counting_env.h"
 #include "io/env.h"
 #include "lsm/db.h"
 #include "sstable/table_builder.h"
@@ -200,27 +201,34 @@ TEST_F(TablePrefetchTest, SurvivesFileRemovalMidScan) {
 // --- DB-level: readahead through ReadOptions, and MultiGet ---
 
 struct TestDb {
-  std::unique_ptr<Env> env;
+  std::unique_ptr<Env> base_env;
+  std::unique_ptr<IoStats> io = std::make_unique<IoStats>();
+  std::unique_ptr<Env> env;  // Counts base_env's I/O into io.
   std::unique_ptr<BlockCache> cache;
   std::unique_ptr<DB> db;
 };
 
-TestDb OpenDb(MergePolicy policy, int num_keys,
-              int scan_readahead_blocks = 0) {
+TestDb OpenDb(MergePolicy policy, int num_keys, double bits_per_entry = 5.0,
+              bool block_cache = true) {
   TestDb t;
-  t.env = NewMemEnv();
-  t.cache = std::make_unique<BlockCache>(128 << 10);
+  t.base_env = NewMemEnv();
+  t.env = std::make_unique<CountingEnv>(t.base_env.get(), t.io.get());
   DbOptions options;
   options.env = t.env.get();
   options.merge_policy = policy;
   options.buffer_size_bytes = 16 << 10;
-  options.bits_per_entry = 5.0;
-  options.block_cache = t.cache.get();
-  options.scan_readahead_blocks = scan_readahead_blocks;
+  options.bits_per_entry = bits_per_entry;
+  if (block_cache) {
+    t.cache = std::make_unique<BlockCache>(128 << 10);
+    options.block_cache = t.cache.get();
+  }
   EXPECT_TRUE(DB::Open(options, "/db", &t.db).ok());
 
+  // Keys go in permuted (7919 is prime), so runs overlap in key range and
+  // a lookup meets candidate runs below the one that resolves it.
   WriteOptions wo;
-  for (int i = 0; i < num_keys; i++) {
+  for (int n = 0; n < num_keys; n++) {
+    const int i = static_cast<int>((int64_t{n} * 7919) % num_keys);
     char buf[16];
     snprintf(buf, sizeof(buf), "key%06d", i);
     const std::string key = "v" + std::to_string(i);
@@ -320,37 +328,86 @@ TEST(DbPrefetch, IteratorDestructionUnderWriters) {
   writer.join();
 }
 
-TEST(MultiGet, MatchesGetLoop) {
-  for (MergePolicy policy :
-       {MergePolicy::kLeveling, MergePolicy::kTiering,
-        MergePolicy::kLazyLeveling}) {
-    TestDb t = OpenDb(policy, 8000);
-    Random rng(11);
-    ReadOptions ro;
-    for (int batch = 0; batch < 20; batch++) {
-      std::vector<std::string> storage;
-      for (int i = 0; i < 32; i++) {
-        const int k = static_cast<int>(rng.Uniform(10000));  // Some absent.
-        char buf[16];
-        snprintf(buf, sizeof(buf), "key%06d", k);
-        storage.push_back(buf);
-      }
-      storage.push_back(storage.front());  // Duplicate key in one batch.
-      std::vector<Slice> keys(storage.begin(), storage.end());
+// Per-level probe counts (runs probed, filter negatives, false positives)
+// since `before`, flattened level by level.
+std::vector<uint64_t> ProbesSince(const DbStats& before, const DbStats& after) {
+  std::vector<uint64_t> out;
+  for (size_t l = 0; l < after.runs_probed_per_level.size(); l++) {
+    auto delta = [&](const std::vector<uint64_t>& b,
+                     const std::vector<uint64_t>& a) {
+      return a[l] - (l < b.size() ? b[l] : 0);
+    };
+    out.push_back(delta(before.runs_probed_per_level,
+                        after.runs_probed_per_level));
+    out.push_back(delta(before.filter_negatives_per_level,
+                        after.filter_negatives_per_level));
+    out.push_back(delta(before.false_positives_per_level,
+                        after.false_positives_per_level));
+  }
+  return out;
+}
 
-      std::vector<std::string> values;
-      std::vector<Status> statuses = t.db->MultiGet(ro, keys, &values);
-      ASSERT_EQ(statuses.size(), keys.size());
-      ASSERT_EQ(values.size(), keys.size());
-      for (size_t i = 0; i < keys.size(); i++) {
-        std::string expected;
-        const Status s = t.db->Get(ro, keys[i], &expected);
-        EXPECT_EQ(statuses[i].ok(), s.ok()) << storage[i];
-        EXPECT_EQ(statuses[i].IsNotFound(), s.IsNotFound()) << storage[i];
-        if (s.ok()) EXPECT_EQ(values[i], expected) << storage[i];
+// A batch answers, counts and reads what a loop of Gets over its keys
+// does: the same results, the same per-level probe counts, and — for a
+// one-key batch — the same blocks read.
+TEST(MultiGet, MatchesGetLoop) {
+  for (double bits : {1.0, 5.0}) {
+    for (MergePolicy policy :
+         {MergePolicy::kLeveling, MergePolicy::kTiering,
+          MergePolicy::kLazyLeveling}) {
+      SCOPED_TRACE("bits " + std::to_string(bits) + ", policy " +
+                   std::to_string(static_cast<int>(policy)));
+      // No block cache: every block read reaches t.io.
+      TestDb t = OpenDb(policy, 8000, bits, /*block_cache=*/false);
+      Random rng(11);
+      ReadOptions ro;
+      std::vector<std::string> looked_up;
+      for (int batch = 0; batch < 20; batch++) {
+        std::vector<std::string> storage;
+        for (int i = 0; i < 32; i++) {
+          const int k = static_cast<int>(rng.Uniform(10000));  // Some absent.
+          char buf[16];
+          snprintf(buf, sizeof(buf), "key%06d", k);
+          storage.push_back(buf);
+        }
+        storage.push_back(storage.front());  // Duplicate key in one batch.
+        std::vector<Slice> keys(storage.begin(), storage.end());
+
+        const DbStats before = t.db->GetStats();
+        std::vector<std::string> values;
+        std::vector<Status> statuses = t.db->MultiGet(ro, keys, &values);
+        const DbStats after_batch = t.db->GetStats();
+        ASSERT_EQ(statuses.size(), keys.size());
+        ASSERT_EQ(values.size(), keys.size());
+        for (size_t i = 0; i < keys.size(); i++) {
+          std::string expected;
+          const Status s = t.db->Get(ro, keys[i], &expected);
+          EXPECT_EQ(statuses[i].ok(), s.ok()) << storage[i];
+          EXPECT_EQ(statuses[i].IsNotFound(), s.IsNotFound()) << storage[i];
+          if (s.ok()) {
+            EXPECT_EQ(values[i], expected) << storage[i];
+          }
+        }
+        EXPECT_EQ(ProbesSince(before, after_batch),
+                  ProbesSince(after_batch, t.db->GetStats()))
+            << "batch " << batch;
+        looked_up.insert(looked_up.end(), storage.begin(), storage.end());
+      }
+      EXPECT_EQ(t.db->GetStats().multigets, 20u);
+
+      for (const std::string& key : looked_up) {
+        std::string value;
+        const IoStatsSnapshot before = t.io->Snapshot();
+        (void)t.db->Get(ro, key, &value);
+        const IoStatsSnapshot after_get = t.io->Snapshot();
+        std::vector<std::string> values;
+        (void)t.db->MultiGet(ro, {Slice(key)}, &values);
+        const IoStatsSnapshot get_io = after_get - before;
+        const IoStatsSnapshot multiget_io = t.io->Snapshot() - after_get;
+        EXPECT_EQ(multiget_io.read_calls, get_io.read_calls) << key;
+        EXPECT_EQ(multiget_io.read_ios, get_io.read_ios) << key;
       }
     }
-    EXPECT_EQ(t.db->GetStats().multigets, 20u);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "io/env.h"
 #include "lsm/db.h"
+#include "obs/perf_context.h"
 
 namespace monkeydb {
 namespace {
@@ -306,28 +307,38 @@ TEST(Subcompaction, ZeroResultLookupProbesOneFragmentPerLevel) {
     for (int i = 0; i < 1500; i += 3) absent.push_back(Key(i) + "x");
     absent.push_back("a");
     absent.push_back("zzz");
+    // Every lookup runs one filter probe per level, whatever the outcome.
+    const uint64_t want_filter_probes =
+        absent.size() * shape.runs_per_level.size();
     ReadOptions ro;
     std::string value;
-    DbStats before = db->GetStats();
+    SetPerfLevel(PerfLevel::kCounts);
+    GetPerfContext()->Reset();
+    const DbStats before = db->GetStats();
     for (const std::string& key : absent) {
       ASSERT_TRUE(db->Get(ro, key, &value).IsNotFound()) << key;
     }
-    std::vector<uint64_t> probes = FilterProbesSince(before, db->GetStats());
-    for (size_t l = 0; l < shape.runs_per_level.size(); l++) {
-      EXPECT_EQ(probes[l], absent.size()) << "Get, level " << l + 1;
-    }
+    EXPECT_EQ(GetPerfContext()->filter_probes, want_filter_probes) << "Get";
+    const DbStats after_get = db->GetStats();
 
-    before = db->GetStats();
+    GetPerfContext()->Reset();
     std::vector<Slice> keys(absent.begin(), absent.end());
     std::vector<std::string> values;
     for (const Status& s : db->MultiGet(ro, keys, &values)) {
       EXPECT_TRUE(s.IsNotFound());
     }
-    probes = FilterProbesSince(before, db->GetStats());
+    EXPECT_EQ(GetPerfContext()->filter_probes, want_filter_probes)
+        << "MultiGet";
+    SetPerfLevel(PerfLevel::kDisabled);
+
+    // Get and MultiGet count the same probes, level by level.
+    const std::vector<uint64_t> probes = FilterProbesSince(before, after_get);
+    EXPECT_EQ(probes, FilterProbesSince(after_get, db->GetStats()));
     for (size_t l = 0; l < shape.runs_per_level.size(); l++) {
-      // MultiGet counts no probe for a filter pass past the last fence.
-      EXPECT_LE(probes[l], absent.size()) << "MultiGet, level " << l + 1;
-      EXPECT_GE(probes[l], absent.size() - 2) << "MultiGet, level " << l + 1;
+      // A filter pass past a level's last fence reads no block and counts
+      // as no probe, hence the slack below absent.size().
+      EXPECT_LE(probes[l], absent.size()) << "level " << l + 1;
+      EXPECT_GE(probes[l], absent.size() - 2) << "level " << l + 1;
     }
 
     // Every surviving key is still found in its fragment.

@@ -1,7 +1,8 @@
 // Request-tracing tests (DESIGN.md §16): the flight recorder's seqlock
 // rings under concurrent writers, the disarmed-path overhead contract
 // (one relaxed load, zero clock reads), reconciliation of a traced Get's
-// per-level kRunProbe spans against the Eq. 3 PerfContext accounting,
+// and MultiGet's per-level kRunProbe spans against the Eq. 3 PerfContext
+// accounting,
 // SLOWLOG capture through a real server socket, and a round trip of the
 // Chrome-JSON dump through tools/trace_view.py --check.
 
@@ -125,11 +126,12 @@ TEST(TraceTest, DisarmedPathRecordsNothingAndNeverReadsClock) {
   EXPECT_TRUE(FlightRecorder::Global()->Snapshot().empty());
 }
 
-// A traced zero-result Get probes every run exactly once, and each
+// A traced zero-result lookup probes every run exactly once, and each
 // kRunProbe span's recorded outcome must reconcile with the Eq. 3
 // bookkeeping PerfContext does independently: every probe is counted in
 // runs_probed unless the filter pruned it (filter_negatives), and a
-// kNotPresent outcome is precisely a Bloom false positive.
+// kNotPresent outcome is precisely a Bloom false positive. A one-key Get
+// and a MultiGet batch run one lookup core, so both trace it alike.
 TEST(TraceTest, TracedGetSpansReconcileWithEq3Counters) {
   SetTraceSampleRate(0.0);
   auto env = NewMemEnv();
@@ -149,78 +151,94 @@ TEST(TraceTest, TracedGetSpansReconcileWithEq3Counters) {
     ASSERT_TRUE(db->Put(wo, key, fill_value).ok());
   }
 
-  SetPerfLevel(PerfLevel::kCounts);
   ReadOptions traced;
   traced.trace = true;
-  std::string value;
-  uint64_t probes = 0;
-  // Zero-result lookups until at least one traced request probed a run
-  // (the tree may answer a given key from the memtable alone).
-  for (int i = 0; i < 200 && probes == 0; i++) {
-    FlightRecorder::Global()->Clear();
-    GetPerfContext()->Reset();
-    const std::string absent = "absent" + std::to_string(i);
-    const Status s = db->Get(traced, absent, &value);
-    ASSERT_TRUE(s.IsNotFound() || s.ok());
-    probes = GetPerfContext()->runs_probed + GetPerfContext()->filter_negatives;
-  }
-  ASSERT_GT(probes, 0u) << "no lookup ever reached a disk run";
-  const PerfContext& perf = *GetPerfContext();
-  SetPerfLevel(PerfLevel::kDisabled);
-
-  const uint64_t request_id = TraceLastRequestId();
-  ASSERT_NE(request_id, 0u);
-  std::vector<TraceEvent> events = FlightRecorder::Global()->Snapshot();
-  uint64_t runs_probed = 0, filtered_out = 0, false_positives = 0;
-  uint64_t get_spans = 0, memtable_spans = 0, filter_spans = 0;
-  for (const TraceEvent& e : events) {
-    if (e.request_id != request_id) continue;
-    if (e.phase != 'E') continue;  // End events carry the final outcome.
-    switch (e.name) {
-      case TraceName::kDbGet:
-        get_spans++;
-        break;
-      case TraceName::kMemtableProbe:
-        memtable_spans++;
-        break;
-      case TraceName::kFilterProbe:
-        filter_spans++;
-        break;
-      case TraceName::kRunProbe:
-        switch (e.args[1]) {
-          case kTraceProbeFilteredOut:
-            filtered_out++;
-            break;
-          case kTraceProbeNotPresent:
-            false_positives++;
-            runs_probed++;
-            break;
-          case kTraceProbeFound:
-          case kTraceProbeDeleted:
-            runs_probed++;
-            break;
-          default:
-            ADD_FAILURE() << "unknown probe outcome " << e.args[1];
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "MultiGet" : "Get");
+    SetPerfLevel(PerfLevel::kCounts);
+    uint64_t probes = 0;
+    // Zero-result lookups until at least one traced request probed a run
+    // (the tree may answer a given key from the memtable alone).
+    for (int i = 0; i < 200 && probes == 0; i++) {
+      FlightRecorder::Global()->Clear();
+      GetPerfContext()->Reset();
+      const std::string absent = "absent" + std::to_string(i);
+      if (batch) {
+        std::vector<std::string> storage;
+        for (int k = 0; k < 8; k++) {
+          storage.push_back(absent + "_" + std::to_string(k));
         }
-        // Predicted FPR annotation (Eq. 5/6 plan, ppb): present and sane
-        // for every probed run.
-        EXPECT_GE(e.args[2], 0);
-        EXPECT_LE(e.args[2], 1000000000);
-        break;
-      default:
-        break;
+        std::vector<Slice> keys(storage.begin(), storage.end());
+        std::vector<std::string> values;
+        for (const Status& s : db->MultiGet(traced, keys, &values)) {
+          ASSERT_TRUE(s.IsNotFound() || s.ok());
+        }
+      } else {
+        std::string value;
+        const Status s = db->Get(traced, absent, &value);
+        ASSERT_TRUE(s.IsNotFound() || s.ok());
+      }
+      probes =
+          GetPerfContext()->runs_probed + GetPerfContext()->filter_negatives;
     }
-  }
+    ASSERT_GT(probes, 0u) << "no lookup ever reached a disk run";
+    const PerfContext perf = *GetPerfContext();
+    SetPerfLevel(PerfLevel::kDisabled);
 
-  // The span tree covers the whole vertical slice of the read path...
-  EXPECT_EQ(get_spans, 1u);
-  EXPECT_EQ(memtable_spans, 1u);
-  // ...and each run probe ran exactly one filter probe.
-  EXPECT_EQ(filter_spans, runs_probed + filtered_out);
-  // Eq. 3 reconciliation: the spans' outcomes are the PerfContext counts.
-  EXPECT_EQ(runs_probed, perf.runs_probed);
-  EXPECT_EQ(filtered_out, perf.filter_negatives);
-  EXPECT_EQ(false_positives, perf.bloom_false_positives);
+    const uint64_t request_id = TraceLastRequestId();
+    ASSERT_NE(request_id, 0u);
+    std::vector<TraceEvent> events = FlightRecorder::Global()->Snapshot();
+    const TraceName top = batch ? TraceName::kDbMultiGet : TraceName::kDbGet;
+    uint64_t runs_probed = 0, filtered_out = 0, false_positives = 0;
+    uint64_t top_spans = 0, memtable_spans = 0, filter_spans = 0;
+    for (const TraceEvent& e : events) {
+      if (e.request_id != request_id) continue;
+      // Span end events carry the final outcome; a run probe is an instant.
+      if (e.phase != (e.name == TraceName::kRunProbe ? 'I' : 'E')) continue;
+      if (e.name == top) top_spans++;
+      switch (e.name) {
+        case TraceName::kMemtableProbe:
+          memtable_spans++;
+          break;
+        case TraceName::kFilterProbe:
+          filter_spans++;
+          break;
+        case TraceName::kRunProbe:
+          switch (e.args[1]) {
+            case kTraceProbeFilteredOut:
+              filtered_out++;
+              break;
+            case kTraceProbeNotPresent:
+              false_positives++;
+              runs_probed++;
+              break;
+            case kTraceProbeFound:
+            case kTraceProbeDeleted:
+              runs_probed++;
+              break;
+            default:
+              ADD_FAILURE() << "unknown probe outcome " << e.args[1];
+          }
+          // Predicted FPR annotation (Eq. 5/6 plan, ppb): present and sane
+          // for every probed run.
+          EXPECT_GE(e.args[2], 0);
+          EXPECT_LE(e.args[2], 1000000000);
+          break;
+        default:
+          break;
+      }
+    }
+
+    // The span tree covers the whole vertical slice of the read path...
+    EXPECT_EQ(top_spans, 1u);
+    EXPECT_EQ(memtable_spans, 1u);
+    // ...and each run probe ran exactly one filter probe.
+    EXPECT_EQ(filter_spans, runs_probed + filtered_out);
+    // Eq. 3 reconciliation: the spans' outcomes are the PerfContext counts.
+    EXPECT_EQ(runs_probed, perf.runs_probed);
+    EXPECT_EQ(filtered_out, perf.filter_negatives);
+    EXPECT_EQ(false_positives, perf.bloom_false_positives);
+  }
 }
 
 // SLOWLOG through a real server: with a 1µs threshold everything is
